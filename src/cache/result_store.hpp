@@ -2,7 +2,7 @@
 // sweeps and campaigns. Every entry is keyed by a SHA-256 digest over the
 // *semantic inputs* of a job (device-profile fingerprint, hardened image
 // bytes in their canonical serialization, the canonical SimConfig byte
-// encoding the wire protocol ships, and the job seed), so two matrices that
+// encoding (sim::encode_config), and the job seed), so two matrices that
 // overlap on a cell share the entry, and any toolchain or config change
 // that could alter the result changes the key.
 //

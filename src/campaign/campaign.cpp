@@ -8,7 +8,6 @@
 #include "assembler/image_io.hpp"
 #include "driver/pool.hpp"
 #include "pipeline/pipeline.hpp"
-#include "remote/codec.hpp"
 #include "scheme/scheme.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -200,8 +199,7 @@ sim::ResetCause parse_cause(const std::string& name) {
 }
 
 verify::Rule parse_rule(const std::string& name) {
-  for (const auto& info : verify::rule_catalog())
-    if (info.name == name) return info.rule;
+  if (const auto* info = verify::find_rule(name)) return info->rule;
   throw Error("merge: unknown lint rule '" + name + "'");
 }
 
@@ -322,7 +320,7 @@ Fixture make_fixture(const CampaignSpec& spec, const CellSpec& cell) {
   kb.field("base_image", assembler::serialize_image(fx.base_image));
   kb.field("donor", assembler::serialize_image(fx.donor));
   kb.field("config",
-           remote::encode_config(fx.session->effective_sim_config()));
+           sim::encode_config(fx.session->effective_sim_config()));
   kb.field("seed", spec.seed);
   fx.cache_digest = cache::to_hex(kb.finish());
   return fx;

@@ -6,7 +6,6 @@
 
 #include "assembler/image_io.hpp"
 #include "driver/pool.hpp"
-#include "remote/codec.hpp"
 #include "scheme/scheme.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -230,8 +229,7 @@ std::string encode_job_payload(const JobResult& r) {
 }
 
 verify::Rule parse_rule(const std::string& name) {
-  for (const auto& info : verify::rule_catalog())
-    if (info.name == name) return info.rule;
+  if (const auto* info = verify::find_rule(name)) return info->rule;
   throw Error("cache payload: unknown lint rule '" + name + "'");
 }
 
@@ -295,13 +293,13 @@ bool decode_job_payload(const std::string& payload, JobResult& r) {
 /// The content address of one job: everything that can change its result.
 /// The hardened image bytes are the load-bearing field — they capture the
 /// whole toolchain (assembler, transform, scheme, keys, layout); profile
-/// fingerprint, canonical SimConfig encoding (shared with the remote wire
-/// protocol) and the seed cover the device and harness side.
+/// fingerprint, canonical SimConfig encoding (sim::encode_config) and the
+/// seed cover the device and harness side.
 cache::Key job_key(const JobSpec& job, pipeline::Pipeline& p) {
   cache::KeyBuilder kb("sofia-cache-key-v1/sweep-job");
   kb.field("fingerprint", job.config.fingerprint());
   kb.field("image", assembler::serialize_image(p.hardened().image));
-  kb.field("config", remote::encode_config(p.effective_sim_config()));
+  kb.field("config", sim::encode_config(p.effective_sim_config()));
   kb.field("workload", job.workload);
   kb.field("seed", job.seed);
   kb.field("size", job.size);

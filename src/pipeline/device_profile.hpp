@@ -18,7 +18,6 @@
 #include "assembler/image.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/key_set.hpp"
-#include "remote/spec.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
 #include "sim/config.hpp"
@@ -58,15 +57,9 @@ struct DeviceProfile {
   std::string scheme = std::string(scheme::kDefaultScheme);
   /// Execution backend the device runs on — a sim::backend_registry() key
   /// ("cycle" = paper-faithful timing, "functional" = fast architectural
-  /// interpreter with identical integrity semantics, "remote" = ship runs
-  /// to a worker process). Pipeline routes every run through this name;
-  /// validate with parse_backend().
+  /// interpreter with identical integrity semantics). Pipeline routes
+  /// every run through this name; validate with parse_backend().
   std::string backend = std::string(sim::kDefaultBackend);
-  /// Remote endpoint used when backend == "remote": the worker launch
-  /// command (sh -c; subprocess, ssh or container runner) and the far-side
-  /// backend it executes. Unconfigured falls back to the SOFIA_WORKER /
-  /// SOFIA_WORKER_BACKEND environment. Build with parse_worker().
-  remote::RemoteSpec remote;
 
   // ---- factories ----------------------------------------------------------
 
@@ -103,14 +96,6 @@ struct DeviceProfile {
   /// flags accept). Throws sofia::Error listing the registered schemes for
   /// anything unknown.
   static std::string parse_scheme(std::string_view name);
-
-  /// Parse a remote endpoint (the CLI --worker / --worker-backend pair)
-  /// into a validated RemoteSpec: the command must be non-empty and the
-  /// far-side backend, when given, must be a registered non-remote key
-  /// (empty = unset; resolved against $SOFIA_WORKER_BACKEND, then
-  /// "cycle"). Throws sofia::Error naming the offending part.
-  static remote::RemoteSpec parse_worker(std::string_view command,
-                                         std::string_view far_backend);
 
   // ---- derived material ---------------------------------------------------
 

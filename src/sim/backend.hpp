@@ -13,11 +13,9 @@
 //                   magnitude faster; stats.cycles counts retired
 //                   instructions. For sweep prefiltering and integrity
 //                   testing, never for overhead numbers.
-//  * "remote"     — ships each run over a versioned wire protocol to a
-//                   sofia_worker process (local subprocess, ssh hop or
-//                   container) and returns the far side's result; the
-//                   numbers mean whatever the far-side backend's mean
-//                   (capabilities() is forwarded).
+//
+// Running on another host is not a backend: sofia_fleet shards whole
+// sofia_sweep processes through a launch command (ssh, container runner).
 //
 // Consumers never construct a simulator directly: they name a backend
 // (DeviceProfile::backend routes pipeline::Pipeline here) and the
@@ -32,10 +30,6 @@
 
 #include "assembler/image.hpp"
 #include "sim/config.hpp"
-
-namespace sofia::remote {
-struct RemoteSpec;
-}
 
 namespace sofia::sim {
 
@@ -102,11 +96,5 @@ bool is_backend(std::string_view name);
 /// Construct a backend by registry key; throws sofia::Error listing the
 /// registered names for anything unknown.
 std::unique_ptr<Backend> make_backend(std::string_view name);
-
-/// Same, but "remote" is built around the given endpoint spec instead of
-/// the environment — the overload Pipeline uses to route
-/// DeviceProfile.remote, so no consumer ever name-checks "remote" itself.
-std::unique_ptr<Backend> make_backend(std::string_view name,
-                                      const remote::RemoteSpec& remote_spec);
 
 }  // namespace sofia::sim

@@ -104,6 +104,13 @@ struct SimConfig {
   std::size_t max_trace = 100'000;
 };
 
+/// The canonical SimConfig bytes: every field, little-endian, in a fixed
+/// order, the scheme name last as a u32 length plus its characters. The
+/// result cache keys entries by a digest over these bytes (with the
+/// profile fingerprint, the image and the seed), so the order is frozen:
+/// changing it invalidates every existing cache. test_cache pins digests.
+std::vector<std::uint8_t> encode_config(const SimConfig& config);
+
 struct SimStats {
   std::uint64_t cycles = 0;
   std::uint64_t insts = 0;        ///< instructions executed (including NOPs)

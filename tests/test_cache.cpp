@@ -17,7 +17,9 @@
 #include "cache/result_store.hpp"
 #include "campaign/campaign.hpp"
 #include "driver/sweep.hpp"
+#include "pipeline/device_profile.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/io.hpp"
 
 namespace {
@@ -101,6 +103,35 @@ TEST(KeyBuilder, NumberAndBytesFieldsAreTyped) {
   const auto n1 = cache::KeyBuilder("d").field("n", std::uint64_t{1}).finish();
   const auto n2 = cache::KeyBuilder("d").field("n", std::uint64_t{2}).finish();
   EXPECT_NE(n1, n2);
+}
+
+// ---- canonical SimConfig bytes ---------------------------------------------
+
+/// SHA-256 hex of the canonical SimConfig bytes for one profile.
+std::string config_digest(const pipeline::DeviceProfile& profile,
+                          const sim::FaultInjection& fault = {}) {
+  sim::SimConfig config;
+  profile.configure(config);
+  config.fault = fault;
+  return support::to_hex(support::sha256(sim::encode_config(config)));
+}
+
+TEST(ConfigEncoding, CacheKeyBytesArePinned) {
+  // Every sweep and campaign cache key hashes these bytes; a change to the
+  // field order or widths silently turns every existing cache into misses.
+  // A deliberate encoding change must bump the "sofia-cache-key-v1" key
+  // domains in the same commit.
+  auto speck_flta =
+      pipeline::DeviceProfile::example(crypto::CipherKind::kSpeck64_128);
+  speck_flta.scheme = "flta";
+  speck_flta.backend = "functional";
+  EXPECT_EQ(config_digest(pipeline::DeviceProfile::paper_default()),
+            "56d9fa11be506a4be9c5111f01016f2b3a12ff41f8938a12acaa042376bae352");
+  EXPECT_EQ(config_digest(speck_flta),
+            "f3732d16c095fecfab2f282dd8b293d1809a485130e404035e100bf1e5e5c44f");
+  EXPECT_EQ(config_digest(pipeline::DeviceProfile::paper_default(),
+                          {.enabled = true, .fetch_index = 7, .bit = 13}),
+            "e69b4ea201635166155eaa676405d90d325d2f50e599ae0e58eacf97d0246c78");
 }
 
 // ---- store / load ----------------------------------------------------------

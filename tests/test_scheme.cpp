@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -310,6 +311,11 @@ const TamperCase kTamperCases[] = {
     // generic ciphertext tampering still verdicts as a MAC mismatch.
     {"flta", sim::ResetCause::kMacMismatch, true},
 };
+
+// Print a case by its scheme name. Without this GoogleTest prints the raw
+// bytes — the scheme pointer included — so the test names CTest discovers
+// would change with every build and every ASLR layout.
+void PrintTo(const TamperCase& c, std::ostream* os) { *os << c.scheme; }
 
 bool verification_cause(sim::ResetCause c) {
   return c == sim::ResetCause::kMacMismatch ||

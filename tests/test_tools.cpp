@@ -17,12 +17,12 @@
 
 #if !defined(SOFIA_ASM_BIN) || !defined(SOFIA_RUN_BIN) ||      \
     !defined(SOFIA_OBJDUMP_BIN) || !defined(SOFIA_REPORT_BIN) || \
-    !defined(SOFIA_SWEEP_BIN) || !defined(SOFIA_WORKER_BIN) || \
-    !defined(SOFIA_FLEET_BIN) || !defined(SOFIA_LINT_BIN) || \
-    !defined(SOFIA_ATTACK_BIN) || !defined(SOFIA_CACHE_BIN)
+    !defined(SOFIA_SWEEP_BIN) || !defined(SOFIA_FLEET_BIN) || \
+    !defined(SOFIA_LINT_BIN) || !defined(SOFIA_ATTACK_BIN) || \
+    !defined(SOFIA_CACHE_BIN)
 #error "SOFIA_ASM_BIN / SOFIA_RUN_BIN / SOFIA_OBJDUMP_BIN / SOFIA_REPORT_BIN \
-/ SOFIA_SWEEP_BIN / SOFIA_WORKER_BIN / SOFIA_FLEET_BIN / SOFIA_LINT_BIN / \
-SOFIA_ATTACK_BIN / SOFIA_CACHE_BIN must be injected by the build: configure \
+/ SOFIA_SWEEP_BIN / SOFIA_FLEET_BIN / SOFIA_LINT_BIN / SOFIA_ATTACK_BIN / \
+SOFIA_CACHE_BIN must be injected by the build: configure \
 with -DSOFIA_BUILD_TOOLS=ON so \
 tests/CMakeLists.txt can define them from $<TARGET_FILE:...>"
 #endif
@@ -312,10 +312,10 @@ TEST_F(Tools, UnknownCipherRejected) {
 
 TEST_F(Tools, EveryToolRejectsUnknownFlagsWithUsage) {
   // The shared CLI layer: unknown flag -> diagnostic + usage, exit 2,
-  // uniformly across all nine front-ends.
+  // uniformly across all eight front-ends.
   for (const char* tool : {SOFIA_ASM_BIN, SOFIA_RUN_BIN, SOFIA_OBJDUMP_BIN,
-                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_WORKER_BIN,
-                           SOFIA_FLEET_BIN, SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
+                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_FLEET_BIN,
+                           SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
     int code = 0;
     const auto out = run_command(std::string(tool) + " --frobnicate", &code);
     EXPECT_EQ(code, 2) << tool << ": " << out;
@@ -327,8 +327,8 @@ TEST_F(Tools, EveryToolRejectsUnknownFlagsWithUsage) {
 
 TEST_F(Tools, EveryToolPrintsHelp) {
   for (const char* tool : {SOFIA_ASM_BIN, SOFIA_RUN_BIN, SOFIA_OBJDUMP_BIN,
-                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_WORKER_BIN,
-                           SOFIA_FLEET_BIN, SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
+                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_FLEET_BIN,
+                           SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
     int code = 0;
     const auto out = run_command(std::string(tool) + " --help", &code);
     EXPECT_EQ(code, 0) << tool << ": " << out;
@@ -436,18 +436,15 @@ TEST_F(Tools, SweepJsonDashStreamsTheDocumentToStdout) {
 }
 
 TEST_F(Tools, FleetMergesByteIdenticallyToASingleSweep) {
-  // The acceptance contract: sofia_fleet with 2 local subprocess workers on
-  // the smoke matrix == one unsharded sofia_sweep run, byte for byte. The
-  // default --launch resolves the sofia_sweep sitting next to sofia_fleet.
+  // The acceptance contract: sofia_fleet with 2 subprocess workers on the
+  // smoke matrix == one unsharded sofia_sweep run, byte for byte. The
+  // default --launch resolves the sofia_sweep sitting next to sofia_fleet;
+  // an env wrapper and an sh -c that forwards the appended shard flags
+  // stand in for the ssh hop that reaches other hosts.
   const std::string tag = std::to_string(getpid());
   const std::string fleet_json = "/tmp/sofia_fleet_" + tag + ".json";
   const std::string single_json = "/tmp/sofia_fleet_" + tag + "_single.json";
   int code = 0;
-  const auto fleet_out = run_command(
-      std::string(SOFIA_FLEET_BIN) + " --smoke --workers 2 --threads 1 --json " +
-          fleet_json, &code);
-  EXPECT_EQ(code, 0) << fleet_out;
-  EXPECT_NE(fleet_out.find("merged 2 shard(s)"), std::string::npos) << fleet_out;
   const auto single_out = run_command(
       std::string(SOFIA_SWEEP_BIN) + " --smoke --quiet --threads 2 --json " +
           single_json, &code);
@@ -458,10 +455,28 @@ TEST_F(Tools, FleetMergesByteIdenticallyToASingleSweep) {
     return std::string(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
   };
-  const auto fleet_doc = slurp(fleet_json);
-  EXPECT_FALSE(fleet_doc.empty());
-  EXPECT_EQ(fleet_doc, slurp(single_json));
-  std::remove(fleet_json.c_str());
+  const auto expected = slurp(single_json);
+  EXPECT_FALSE(expected.empty());
+  const auto shell_quote = [](const std::string& text) {
+    std::string quoted = "'";
+    for (const char c : text)
+      quoted += c == '\'' ? std::string("'\\''") : std::string(1, c);
+    return quoted + "'";
+  };
+  for (const std::string& launch :
+       {std::string(), "env SOFIA_FLEET_TEST=1 " + std::string(SOFIA_SWEEP_BIN),
+        R"(sh -c 'exec "$0" "$@"' )" + std::string(SOFIA_SWEEP_BIN)}) {
+    const auto fleet_out = run_command(
+        std::string(SOFIA_FLEET_BIN) + " --smoke --workers 2 --threads 1" +
+            (launch.empty() ? "" : " --launch " + shell_quote(launch)) +
+            " --json " + fleet_json,
+        &code);
+    EXPECT_EQ(code, 0) << launch << ": " << fleet_out;
+    EXPECT_NE(fleet_out.find("merged 2 shard(s)"), std::string::npos)
+        << launch << ": " << fleet_out;
+    EXPECT_EQ(slurp(fleet_json), expected) << launch;
+    std::remove(fleet_json.c_str());
+  }
   std::remove(single_json.c_str());
 }
 
@@ -490,29 +505,27 @@ TEST_F(Tools, FleetRejectsZeroWorkersAndFailingLaunches) {
   EXPECT_NE(out.find("worker"), std::string::npos) << out;
 }
 
-TEST_F(Tools, WorkerServesARemoteRunForSofiaRun) {
-  // sofia_run --backend remote --worker <sofia_worker> must behave exactly
-  // like the local cycle backend, exit code included.
+TEST_F(Tools, RemoteIsNotABackendChoice) {
+  // Running on another host goes through sofia_fleet --launch; no tool
+  // accepts a per-run "remote" backend or the flags that configured it.
   int code = 0;
   run_command(std::string(SOFIA_ASM_BIN) + " --quiet --key-seed 5 " + src_ +
                   " " + img_, &code);
   ASSERT_EQ(code, 0);
-  const auto local = run_command(
-      std::string(SOFIA_RUN_BIN) + " --key-seed 5 " + img_, &code);
-  EXPECT_EQ(code, 33);
-  const auto remote = run_command(
-      std::string(SOFIA_RUN_BIN) + " --key-seed 5 --backend remote --worker '" +
-          SOFIA_WORKER_BIN + "' " + img_, &code);
-  EXPECT_EQ(code, 33) << remote;
-  EXPECT_NE(remote.find("status=exited"), std::string::npos) << remote;
-  EXPECT_NE(remote.find("backend=remote"), std::string::npos) << remote;
-
-  // Worker flags without --backend remote are rejected, not ignored.
-  const auto bad = run_command(
-      std::string(SOFIA_RUN_BIN) + " --worker-backend functional " + img_,
-      &code);
-  EXPECT_EQ(code, 2) << bad;
-  EXPECT_NE(bad.find("--worker-backend"), std::string::npos) << bad;
+  for (const std::string& command :
+       {std::string(SOFIA_RUN_BIN) + " --key-seed 5 --backend remote " + img_,
+        std::string(SOFIA_SWEEP_BIN) + " --smoke --backend remote"}) {
+    const auto out = run_command(command, &code);
+    EXPECT_EQ(code, 2) << command << ": " << out;
+    EXPECT_NE(out.find("invalid value 'remote' (choose from cycle, "
+                       "functional)"),
+              std::string::npos)
+        << command << ": " << out;
+    EXPECT_NE(out.find("usage:"), std::string::npos) << command << ": " << out;
+  }
+  const auto help = run_command(std::string(SOFIA_RUN_BIN) + " --help", &code);
+  EXPECT_EQ(code, 0) << help;
+  EXPECT_EQ(help.find("--worker"), std::string::npos) << help;
 }
 
 TEST_F(Tools, LintCleanWorkloadAssertsClean) {
@@ -814,7 +827,7 @@ TEST_F(Tools, SweepCacheEnvFallbackAndStatsSideDocument) {
   EXPECT_EQ(code, 0) << out;
   EXPECT_NE(out.find("cache: " + dir), std::string::npos) << out;
 
-  // --cache-stats emits the side document; it requires a cache.
+  // --cache-stats emits the side document.
   const std::string stats = "/tmp/sofia_cache_env_" + tag + "_stats.json";
   out = run_command(std::string(SOFIA_SWEEP_BIN) +
                         " --smoke --quiet --threads 2 --cache " + dir +
@@ -829,13 +842,25 @@ TEST_F(Tools, SweepCacheEnvFallbackAndStatsSideDocument) {
   EXPECT_NE(doc.find("\"schema\": \"sofia-cache-stats-v1\""),
             std::string::npos) << doc;
   EXPECT_NE(doc.find("\"misses\": 0"), std::string::npos) << doc;
-  out = run_command("env -u SOFIA_CACHE " + std::string(SOFIA_SWEEP_BIN) +
-                        " --smoke --quiet --cache-stats " + stats, &code);
-  EXPECT_EQ(code, 2) << out;
-  EXPECT_NE(out.find("--cache-stats needs --cache"), std::string::npos) << out;
 
   std::filesystem::remove_all(dir);
   std::remove(stats.c_str());
+}
+
+TEST_F(Tools, SweepCacheStatsWithoutACacheFailsBeforeRunning) {
+  // A usage error must surface before the matrix runs, not after it.
+  const std::string stats =
+      "/tmp/sofia_cache_stats_" + std::to_string(getpid()) + ".json";
+  int code = 0;
+  const auto out = run_command("env -u SOFIA_CACHE " +
+                                   std::string(SOFIA_SWEEP_BIN) +
+                                   " --smoke --cache-stats " + stats,
+                               &code);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("--cache-stats needs --cache"), std::string::npos) << out;
+  EXPECT_EQ(out.find("  ["), std::string::npos) << out;  // no job row
+  EXPECT_EQ(out.find("done in"), std::string::npos) << out;
+  EXPECT_FALSE(std::filesystem::exists(stats));
 }
 
 TEST_F(Tools, CacheCliStatsVerifyAndGc) {

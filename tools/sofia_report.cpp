@@ -92,17 +92,9 @@ int main(int argc, char** argv) {
   std::printf("%-44s %16s %15.2fx\n", "ADPCM text expansion", "2.41x", text_ratio);
   // A backend without cycle accuracy reports instruction counts in
   // stats.cycles; presenting those next to the paper's timing targets
-  // would be a lie, so the timing rows are suppressed. For "remote" the
-  // answer comes from the far-side backend (a hello over the wire); if
-  // that probe fails after the sweep already ran, claiming cycle accuracy
-  // is the one wrong answer, so fall back to suppressing.
-  const bool cycle_accurate = [&] {
-    try {
-      return sim::make_backend(backend)->capabilities().cycle_accurate;
-    } catch (const Error&) {
-      return false;
-    }
-  }();
+  // would be a lie, so the timing rows are suppressed.
+  const bool cycle_accurate =
+      sim::make_backend(backend)->capabilities().cycle_accurate;
   if (cycle_accurate) {
     std::printf("%-44s %16s %15.1f%%\n",
                 "ADPCM cycle overhead (see EXPERIMENTS E3)", "+13.7%", cyc);

@@ -18,15 +18,9 @@ int main(int argc, char** argv) {
   std::string cipher = "rectangle80";
   std::string scheme(scheme::kDefaultScheme);
   std::string backend(sim::kDefaultBackend);
-  std::string worker;
-  std::string worker_backend;  // empty = $SOFIA_WORKER_BACKEND, then cycle
   bool stats = false;
   std::uint64_t max_cycles = 0;
   std::string path;
-
-  // A remote worker's far side must be a local backend ("remote" recurses).
-  auto local_backends = sim::backend_names();
-  std::erase(local_backends, "remote");
 
   cli::Parser parser("sofia_run",
                      "execute a saved image on the simulated device");
@@ -38,26 +32,13 @@ int main(int argc, char** argv) {
               "sofia_asm's)")
       .choice("--backend", backend, sim::backend_names(),
               "execution backend: cycle = paper-faithful timing, "
-              "functional = fast architectural run, remote = ship to a "
-              "worker")
-      .option("--worker", worker, "CMD",
-              "worker launch command for --backend remote (sh -c; e.g. "
-              "'ssh host sofia_worker'; default: $SOFIA_WORKER)")
-      .choice("--worker-backend", worker_backend, local_backends,
-              "backend the remote worker executes on (default: "
-              "$SOFIA_WORKER_BACKEND, then cycle)")
+              "functional = fast architectural run")
       .option("--key-seed", key_seed, "n",
               "device KeySet seed (must match sofia_asm's)")
       .option("--max-cycles", max_cycles, "n", "cycle budget (default 2e9)")
       .flag("--stats", stats, "print the detailed statistics block")
       .positional("image.img", path);
   parser.parse_or_exit(argc, argv);
-
-  if (!worker.empty() && backend != "remote")
-    return parser.fail("--worker is only meaningful with --backend remote");
-  if (!worker_backend.empty() && backend != "remote")
-    return parser.fail(
-        "--worker-backend is only meaningful with --backend remote");
 
   try {
     auto profile = pipeline::DeviceProfile::parse(cipher);
@@ -69,14 +50,6 @@ int main(int argc, char** argv) {
     }
     profile.scheme = scheme;    // already validated by the choice flag
     profile.backend = backend;  // ditto
-    if (!worker.empty()) {
-      profile.remote = pipeline::DeviceProfile::parse_worker(worker,
-                                                             worker_backend);
-    } else if (backend == "remote") {
-      // Command from $SOFIA_WORKER, but an explicit far-side backend choice
-      // must not be silently dropped (empty stays unset: env, then cycle).
-      profile.remote.backend = worker_backend;
-    }
 
     auto session = pipeline::Pipeline::from_image_file(path, profile);
     if (max_cycles != 0) {

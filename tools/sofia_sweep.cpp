@@ -172,6 +172,8 @@ int main(int argc, char** argv) {
     });
     if (store)
       std::fprintf(log, "cache: %s\n", store->root().string().c_str());
+    if (!store && !cache_stats_path.empty())
+      return parser.fail("--cache-stats needs --cache (or $SOFIA_CACHE)");
 
     const auto result =
         driver::run_sweep(spec, threads, progress, shard, store.get());
@@ -189,8 +191,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(cs.failures));
       if (!cache_stats_path.empty())
         io::emit_document(cache_stats_path, cache_stats_json(*store));
-    } else if (!cache_stats_path.empty()) {
-      return parser.fail("--cache-stats needs --cache (or $SOFIA_CACHE)");
     }
 
     if (!json_path.empty()) {
