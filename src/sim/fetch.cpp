@@ -57,6 +57,28 @@ void VanillaFetch::redirect(std::uint32_t target, std::uint32_t /*from_pc*/,
 }
 
 // ---------------------------------------------------------------------------
+// OpenedBlockMemo
+// ---------------------------------------------------------------------------
+
+const scheme::DeviceBlock& OpenedBlockMemo::open(std::uint32_t base_word,
+                                                 std::uint32_t prev_word,
+                                                 const scheme::EntryPath& path,
+                                                 const std::vector<std::uint32_t>& raw) {
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(base_word + path.offset) << 32) | prev_word;
+  const auto [it, fresh] = entries_.try_emplace(key);
+  Entry& entry = it->second;
+  if (!fresh && entry.raw == raw) {
+    ++hits_;
+    return entry.block;
+  }
+  ++misses_;
+  entry.block = opener_->open(base_word, prev_word, path, raw);
+  entry.raw = raw;
+  return entry.block;
+}
+
+// ---------------------------------------------------------------------------
 // SofiaFetch
 // ---------------------------------------------------------------------------
 
@@ -156,7 +178,8 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
   }
 
   // ---- open the block through the protection scheme ----
-  const scheme::DeviceBlock dev = opener_->open(base_word, prev_word, path, raw);
+  // A re-entry whose fetched words match an earlier open reuses it.
+  const scheme::DeviceBlock& dev = opener_.open(base_word, prev_word, path, raw);
 
   // ---- replay the decrypt ops on the shared engine ----
   // Eager-issue schemes (address-only counters) start every op at block

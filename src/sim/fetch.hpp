@@ -21,6 +21,8 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "assembler/image.hpp"
 #include "isa/isa.hpp"
@@ -103,6 +105,39 @@ class VanillaFetch final : public FetchUnit {
   std::optional<ResetEvent> reset_;
 };
 
+/// Opener::open, memoized for one run. An open is a pure function of
+/// (base, prevPC, entry path, raw words, session keys): the keys are fixed
+/// per opener and the path follows from the target's entry offset, so an
+/// entry keyed on (target word, prev word) and validated against the raw
+/// words it was opened from is exactly what a fresh open would return. Any
+/// differing word (a store into text, an armed fetch fault) misses and
+/// re-opens, replacing the entry; no invalidation hook is needed. Only the
+/// host's recomputation is saved: the caller still replays the returned op
+/// lists, so the modelled device does the same work on every entry.
+class OpenedBlockMemo {
+ public:
+  explicit OpenedBlockMemo(std::unique_ptr<scheme::Opener> opener)
+      : opener_(std::move(opener)) {}
+
+  /// Opener::open's contract. The reference stays valid until the next call.
+  const scheme::DeviceBlock& open(std::uint32_t base_word, std::uint32_t prev_word,
+                                  const scheme::EntryPath& path,
+                                  const std::vector<std::uint32_t>& raw);
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  struct Entry {
+    std::vector<std::uint32_t> raw;  ///< the words the block was opened from
+    scheme::DeviceBlock block;
+  };
+  std::unique_ptr<scheme::Opener> opener_;
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
 class SofiaFetch final : public FetchUnit {
  public:
   SofiaFetch(const Memory& mem, ICache& icache, CipherEngine& engine,
@@ -128,8 +163,8 @@ class SofiaFetch final : public FetchUnit {
   const SimConfig& config_;
   std::uint32_t text_base_word_;
   /// The device side of config_.scheme, keyed with config_.keys and the
-  /// image's omega/granularity.
-  std::unique_ptr<scheme::Opener> opener_;
+  /// image's omega/granularity, memoized for this run.
+  OpenedBlockMemo opener_;
 
   std::deque<FetchedInst> staged_;  ///< decoded, time-stamped deliveries
   bool waiting_ = false;            ///< stopped at an indirect exit / halt

@@ -215,16 +215,20 @@ TEST(BackendCrossValidation, TamperedTextResetsIdenticallyUnderBothBackends) {
 
 TEST(BackendCrossValidation, SelfModifyingStoreToTextResetsUnderBothBackends) {
   // A program that tampers its own ciphertext at run time and then enters
-  // the modified block. The cycle machine fetches live from memory and
-  // resets on the bad MAC; the functional backend must invalidate its
-  // decoded-block cache on the store-to-text and reset identically — and
-  // must keep executing the in-flight block safely until then (this test
-  // runs under the ASan CI job precisely to police that invalidation path).
-  // Pass 0 calls victim cleanly (the functional backend caches the verified
-  // block under this exact (entry, prevPC) pair), then flips one ciphertext
-  // bit inside victim and loops to the very same call site. A stale cache
-  // hit would sail through to the halt at `missed`; correct invalidation
-  // refetches and resets on the bad MAC.
+  // the modified block. Both backends keep what they opened under the
+  // (entry, prevPC) pair, so both are policed here. The cycle machine
+  // fetches every word live from memory and reuses an earlier open only
+  // when the fetched words match it, so the flipped word must miss its
+  // opened-block memo and reset on the bad MAC. The functional backend must
+  // invalidate its decoded-block cache on the store-to-text and reset
+  // identically — and must keep executing the in-flight block safely until
+  // then (this test runs under the ASan CI job precisely to police that
+  // invalidation path).
+  // Pass 0 calls victim cleanly (both backends keep the verified block
+  // under this exact (entry, prevPC) pair), then flips one ciphertext bit
+  // inside victim and loops to the very same call site. A stale hit would
+  // sail through to the halt at `missed`; a correct re-open resets on the
+  // bad MAC.
   const char* source = R"(
 main:
   li r5, 0

@@ -5,6 +5,8 @@
 // the paper on benign inputs; the security tests cover tampered ones.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim_test_util.hpp"
 
 namespace sofia {
@@ -385,6 +387,10 @@ struct Variant {
   BlockPolicy policy;
   crypto::Granularity granularity;
 };
+
+// Print a variant by its name (see TamperSuite's PrintTo in test_scheme):
+// the raw bytes would put the name pointer into the discovered test names.
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
 
 class E2EVariants : public ::testing::TestWithParam<Variant> {};
 

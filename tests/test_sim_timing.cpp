@@ -1,9 +1,20 @@
 // Microarchitectural behavior tests: trace facility, speculation squash,
-// store gating, engine policies, fetch-width configs, fault injection.
+// store gating, engine policies, fetch-width configs, fault injection, the
+// opened-block memo and the pinned work counters of the cycle backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "pipeline/pipeline.hpp"
+#include "scheme/scheme.hpp"
 #include "sim/cipher_engine.hpp"
+#include "sim/fetch.hpp"
 #include "sim_test_util.hpp"
+#include "support/hash.hpp"
+#include "workloads/workloads.hpp"
 
 namespace sofia::sim {
 namespace {
@@ -349,6 +360,143 @@ TEST(Fault, FaultOnStoredMacWordDetected) {
   cfg.fault.bit = 13;
   const auto run = run_image(result.image, cfg);
   EXPECT_EQ(run.status, RunResult::Status::kReset);
+}
+
+TEST(Fault, FaultOnAWarmRevisitStillResets) {
+  // `j main` re-enters one block for the whole run. After its first two
+  // visits (the reset entry and the first back edge) every visit reuses the
+  // opened-block memo; a fault armed far past them lands on such a warm
+  // revisit and must miss the memo on the flipped word and reset at that
+  // block, exactly like a fault on the very first fetch.
+  const auto keys = test_keys();
+  const auto result = transform_source("main:\n j main\n", keys);
+  auto cfg = sofia_config(keys);
+  cfg.max_cycles = 3000;
+  const auto clean = run_image(result.image, cfg);
+  ASSERT_EQ(clean.status, RunResult::Status::kMaxCycles);
+  const std::uint64_t warm_index = 10ull * cfg.policy.words_per_block;
+  ASSERT_GT(clean.stats.blocks_fetched, 20u);  // the run fetches past it
+
+  cfg.fault.enabled = true;
+  cfg.fault.bit = 5;
+  cfg.fault.fetch_index = 0;
+  const auto cold = run_image(result.image, cfg);
+  cfg.fault.fetch_index = warm_index;
+  const auto warm = run_image(result.image, cfg);
+  for (const auto* run : {&cold, &warm}) {
+    EXPECT_EQ(run->status, RunResult::Status::kReset);
+    EXPECT_EQ(run->reset.cause, ResetCause::kMacMismatch);
+  }
+  EXPECT_EQ(warm.reset.pc, cold.reset.pc);
+  EXPECT_GT(warm.reset.cycle, cold.reset.cycle);
+}
+
+// ---------------------------------------------------------------------------
+// Opened-block memo
+// ---------------------------------------------------------------------------
+
+/// A stand-in opener: counts its calls, echoes the raw words as plaintext
+/// and verifies only the one block it was built for (prev word and raw
+/// words both as sealed).
+class CountingOpener final : public scheme::Opener {
+ public:
+  CountingOpener(int& calls, std::uint32_t prev, std::vector<std::uint32_t> raw)
+      : calls_(calls), good_prev_(prev), good_raw_(std::move(raw)) {}
+
+  scheme::DeviceBlock open(std::uint32_t /*base_word*/, std::uint32_t prev_word,
+                           const scheme::EntryPath& path,
+                           const std::vector<std::uint32_t>& raw) const override {
+    ++calls_;
+    scheme::DeviceBlock dev;
+    dev.first_inst = path.first_inst;
+    dev.plain = raw;
+    if (prev_word != good_prev_ || raw != good_raw_)
+      dev.verify_cause = ResetCause::kMacMismatch;
+    return dev;
+  }
+
+ private:
+  int& calls_;
+  std::uint32_t good_prev_;
+  std::vector<std::uint32_t> good_raw_;
+};
+
+TEST(OpenedBlockMemo, ReusesOnlyAnOpenOfTheSameWords) {
+  const std::vector<std::uint32_t> sealed = {11, 12, 13, 14, 15, 16, 17, 18};
+  const auto path = scheme::entry_path(0, 8);
+  int calls = 0;
+  OpenedBlockMemo memo(std::make_unique<CountingOpener>(calls, 5, sealed));
+
+  // Same (target, prev, raw): the second open is a hit.
+  EXPECT_EQ(memo.open(100, 5, path, sealed).verify_cause, ResetCause::kNone);
+  EXPECT_EQ(memo.open(100, 5, path, sealed).verify_cause, ResetCause::kNone);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(memo.hits(), 1u);
+
+  // One flipped raw word re-opens and returns the opener's fresh verdict;
+  // the restored words re-open again (the entry was replaced).
+  auto flipped = sealed;
+  flipped[3] ^= 1u << 7;
+  const auto& tampered = memo.open(100, 5, path, flipped);
+  EXPECT_EQ(tampered.verify_cause, ResetCause::kMacMismatch);
+  EXPECT_EQ(tampered.plain, flipped);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(memo.open(100, 5, path, sealed).verify_cause, ResetCause::kNone);
+  EXPECT_EQ(calls, 3);
+
+  // A different prev word is a separate entry: it opens on its own and
+  // leaves the (100, 5) entry warm.
+  EXPECT_EQ(memo.open(100, 6, path, sealed).verify_cause, ResetCause::kMacMismatch);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(memo.open(100, 5, path, sealed).verify_cause, ResetCause::kNone);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(memo.hits(), 2u);
+  EXPECT_EQ(memo.misses(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned work counters
+// ---------------------------------------------------------------------------
+
+void render_run(const RunResult& r, std::string& out) {
+  const SimStats& s = r.stats;
+  out += std::string(to_string(r.status)) + " " + std::string(to_string(r.reset.cause)) +
+         " " + std::to_string(r.reset.cycle) + " " + std::to_string(r.reset.pc) + " " +
+         std::to_string(r.exit_code) + "\n" + r.output;
+  for (const std::uint64_t v :
+       {s.cycles, s.insts, s.nops, s.loads, s.stores, s.branches, s.taken,
+        s.icache_hits, s.icache_misses, s.fetch_words, s.mac_words, s.ctr_ops,
+        s.cbc_ops, s.blocks_fetched, s.mac_verifications, s.store_gate_stalls,
+        s.queue_empty_cycles, s.exec_stall_cycles})
+    out += std::to_string(v) + " ";
+  out += "\n";
+}
+
+TEST(WorkCounters, CycleBackendCountersArePinned) {
+  // Every counter the cycle backend reports, for every workload x scheme x
+  // cipher at a small size (plus the vanilla baseline), pinned as one
+  // digest. The counters are deterministic, so this gates the modelled work
+  // exactly and never the wall clock: a host-side speed-up must leave the
+  // digest alone, while a deliberate model change (or a new workload or
+  // scheme) updates it in the same commit.
+  std::string rendered;
+  for (const auto& spec : workloads::all_workloads()) {
+    const std::uint32_t size = std::max<std::uint32_t>(8, spec.default_size / 8);
+    for (const auto& scheme : scheme::scheme_names()) {
+      for (const auto ck : {crypto::CipherKind::kRectangle80,
+                            crypto::CipherKind::kSpeck64_128}) {
+        auto profile = pipeline::DeviceProfile::example(ck);
+        profile.scheme = scheme;
+        profile.backend = "cycle";
+        auto p = pipeline::Pipeline::from_workload(spec.name, 1, size, profile);
+        rendered += spec.name + " " + scheme + " " + std::string(crypto::to_string(ck)) + "\n";
+        render_run(p.run(), rendered);
+        render_run(p.run_vanilla(), rendered);
+      }
+    }
+  }
+  EXPECT_EQ(support::sha256_hex(rendered),
+            "3cb834122ce8b671d1321247b213b103eaf7100979eb06aca43a4f00640752c2");
 }
 
 TEST(MaxCycles, SofiaInfiniteLoopBounded) {
