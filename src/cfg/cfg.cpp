@@ -23,11 +23,6 @@ std::string_view to_string(EdgeKind kind) {
   return "?";
 }
 
-bool is_ret(const isa::Instruction& inst) {
-  return inst.op == Opcode::kJalr && inst.rd == isa::kRegZero &&
-         inst.ra == isa::kRegLr && inst.imm == 0;
-}
-
 namespace {
 
 std::uint32_t branch_target(const assembler::Program& prog, std::uint32_t index) {
@@ -61,7 +56,7 @@ Cfg Cfg::build(const assembler::Program& prog) {
   for (std::uint32_t i = 0; i < n; ++i) {
     const auto& si = prog.text[i];
     const Opcode op = si.inst.op;
-    if (op == Opcode::kJalr && !is_ret(si.inst)) {
+    if (op == Opcode::kJalr && !isa::is_ret(si.inst)) {
       // A surviving indirect jump is analyzable iff its target set was
       // declared (a forward-edge gating scheme keeps annotated jump-form
       // jalr; everything else devirtualizes them before this point).
@@ -109,7 +104,7 @@ Cfg Cfg::build(const assembler::Program& prog) {
     } else if (op == Opcode::kJal) {
       add_edge(i, branch_target(prog, i),
                si.inst.rd == isa::kRegZero ? EdgeKind::kJump : EdgeKind::kCall);
-    } else if (op == Opcode::kJalr && !is_ret(si.inst)) {
+    } else if (op == Opcode::kJalr && !isa::is_ret(si.inst)) {
       // One indirect edge per declared target (deduplicated: a label may
       // appear twice in the annotation).
       std::set<std::uint32_t> targets;
@@ -161,7 +156,7 @@ Cfg Cfg::build(const assembler::Program& prog) {
           succ = {branch_target(prog, i)};
         else
           succ = {i + 1};  // step over the call
-      } else if (inst.op == Opcode::kJalr && is_ret(inst)) {
+      } else if (isa::is_ret(inst)) {
         fn.rets.push_back(i);
         auto [it, inserted] = ret_owner.emplace(i, entry);
         if (!inserted && it->second != entry)

@@ -94,7 +94,4 @@ class Cfg {
   std::uint32_t text_size_ = 0;
 };
 
-/// True when the instruction is the canonical return (jalr r0, lr, 0).
-bool is_ret(const isa::Instruction& inst);
-
 }  // namespace sofia::cfg

@@ -124,6 +124,12 @@ constexpr bool is_control(Opcode op) {
   return is_cond_branch(op) || is_jump(op) || op == Opcode::kHalt;
 }
 
+/// The canonical return, `ret` (jalr r0, lr, 0).
+constexpr bool is_ret(const Instruction& inst) {
+  return inst.op == Opcode::kJalr && inst.rd == kRegZero && inst.ra == kRegLr &&
+         inst.imm == 0;
+}
+
 /// Does this instruction write rd? (Stores and branches do not.)
 constexpr bool writes_rd(Opcode op) {
   return !(op == Opcode::kNop || op == Opcode::kHalt || is_store(op) ||

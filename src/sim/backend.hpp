@@ -9,10 +9,15 @@
 //                   core, I-cache, shared cipher engine, store gate).
 //                   stats.cycles models device time.
 //  * "functional" — an architectural interpreter: same integrity
-//                   semantics, no micro-architectural timing. Orders of
-//                   magnitude faster; stats.cycles counts retired
+//                   semantics, no micro-architectural timing. 1.3-16x
+//                   faster wall-clock than "cycle" (mean 8x,
+//                   bench_backend_speedup); stats.cycles counts retired
 //                   instructions. For sweep prefiltering and integrity
 //                   testing, never for overhead numbers.
+//
+// Both execute through the one shared core (sim/core.hpp): the same SR32
+// instruction step, the same per-word block check and the same fetch-fault
+// model, so the backends differ only in timing and caching.
 //
 // Running on another host is not a backend: sofia_fleet shards whole
 // sofia_sweep processes through a launch command (ssh, container runner).

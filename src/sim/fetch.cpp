@@ -11,7 +11,11 @@ namespace sofia::sim {
 
 VanillaFetch::VanillaFetch(const Memory& mem, ICache& icache,
                            const SimConfig& config, std::uint32_t start_pc)
-    : mem_(mem), icache_(icache), config_(config), pc_(start_pc) {}
+    : FetchUnit(config.fault),
+      mem_(mem),
+      icache_(icache),
+      config_(config),
+      pc_(start_pc) {}
 
 std::optional<FetchedInst> VanillaFetch::step(std::uint64_t cycle, bool queue_full) {
   if (waiting_ || reset_) return std::nullopt;
@@ -21,7 +25,7 @@ std::optional<FetchedInst> VanillaFetch::step(std::uint64_t cycle, bool queue_fu
     ready_at_ = cycle + icache_.access(pc_) - 1;
   }
   if (cycle < ready_at_ || queue_full) return std::nullopt;
-  const std::uint32_t word = apply_fault(config_.fault, mem_.load32(pc_));
+  const std::uint32_t word = fault_.apply(mem_.load32(pc_));
   const auto decoded = isa::decode(word);
   if (!decoded) {
     reset_ = ResetEvent{ResetCause::kIllegalInstruction, cycle, pc_};
@@ -84,7 +88,8 @@ const scheme::DeviceBlock& OpenedBlockMemo::open(std::uint32_t base_word,
 
 SofiaFetch::SofiaFetch(const Memory& mem, ICache& icache, CipherEngine& engine,
                        const SimConfig& config, const assembler::LoadImage& image)
-    : mem_(mem),
+    : FetchUnit(config.fault),
+      mem_(mem),
       icache_(icache),
       engine_(engine),
       config_(config),
@@ -174,7 +179,7 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
       ++in_cycle;
     }
     fetch_done[j] = cursor;
-    raw[j] = apply_fault(config_.fault, mem_.load32(addr));
+    raw[j] = fault_.apply(mem_.load32(addr));
   }
 
   // ---- open the block through the protection scheme ----
@@ -233,8 +238,7 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
   // An indirect transfer must land on an entry whose sealed label matches
   // the source exit's; the check fires with the verification (both labels
   // are authenticated block state).
-  if (pending && (!dev.gate_indirect || dev.entry_label == 0 ||
-                  dev.entry_label != *pending)) {
+  if (!gate_admits(pending, dev.gate_indirect, dev.entry_label)) {
     reset_ = ResetEvent{ResetCause::kTargetSetViolation, verify_cycle,
                         base_word * 4};
     return;
@@ -246,32 +250,21 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
       dev.performs_verify && verify_cycle > config_.store_gate_headstart
           ? verify_cycle - config_.store_gate_headstart
           : 0;
-  const std::uint32_t first_inst = dev.first_inst;
-  const std::vector<std::uint32_t>& plain = dev.plain;
-  for (std::uint32_t w = first_inst; w < b; ++w) {
-    const auto decoded = isa::decode(plain[w]);
-    const std::uint32_t pc = (base_word + w) * 4;
-    if (!decoded) {
-      reset_ = ResetEvent{ResetCause::kIllegalInstruction, decrypt_done[w] + 1, pc};
-      break;
-    }
-    const bool last = (w == b - 1);
-    if (isa::is_control(decoded->op) && !last) {
-      reset_ = ResetEvent{ResetCause::kIllegalExit, decrypt_done[w] + 1, pc};
-      break;
-    }
-    if (isa::is_store(decoded->op) && w < config_.policy.store_min_word) {
-      reset_ = ResetEvent{ResetCause::kRestrictedStore, decrypt_done[w] + 1, pc};
-      break;
-    }
-    FetchedInst fi;
-    fi.inst = *decoded;
-    fi.pc = pc;
-    fi.ready = decrypt_done[w] + 1;
-    fi.store_gate = gate;
-    staged_.push_back(fi);
+  const auto violation = check_block(
+      dev.plain, dev.first_inst, config_.policy,
+      [&](std::uint32_t w, const isa::Instruction& inst) {
+        FetchedInst fi;
+        fi.inst = inst;
+        fi.pc = (base_word + w) * 4;
+        fi.ready = decrypt_done[w] + 1;
+        fi.store_gate = gate;
+        staged_.push_back(fi);
+      });
+  if (violation) {
+    reset_ = ResetEvent{violation->cause, decrypt_done[violation->word] + 1,
+                        (base_word + violation->word) * 4};
+    return;
   }
-  if (reset_) return;
 
   // ---- decide how fetch continues past this block ----
   // Fall-through speculation is always sound: the sequential successor is

@@ -14,6 +14,9 @@
 //
 // Both deliver FetchedInst records tagged with the cycle the instruction
 // leaves the IF stage, so the execute side consumes them with true timing.
+// The fetch-fault model and SofiaFetch's per-word decode/placement rules
+// are the shared ones of sim/core.hpp, which the functional backend uses
+// too.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,7 @@
 #include "scheme/scheme.hpp"
 #include "sim/cipher_engine.hpp"
 #include "sim/config.hpp"
+#include "sim/core.hpp"
 #include "sim/icache.hpp"
 #include "sim/memory.hpp"
 
@@ -72,16 +76,9 @@ class FetchUnit {
   std::uint64_t verifications = 0;
 
  protected:
-  /// Apply the configured transient fault to a raw fetched word.
-  std::uint32_t apply_fault(const FaultInjection& fault, std::uint32_t word) {
-    const std::uint64_t index = fetch_count_++;
-    if (fault.enabled && index == fault.fetch_index)
-      return word ^ (1u << (fault.bit & 31));
-    return word;
-  }
+  explicit FetchUnit(const FaultInjection& fault) : fault_(fault) {}
 
- private:
-  std::uint64_t fetch_count_ = 0;
+  FetchFault fault_;  ///< every raw fetched word passes through it
 };
 
 class VanillaFetch final : public FetchUnit {

@@ -7,8 +7,7 @@
 
 #include "isa/isa.hpp"
 #include "scheme/scheme.hpp"
-#include "sim/memory.hpp"
-#include "support/bits.hpp"
+#include "sim/core.hpp"
 
 namespace sofia::sim {
 
@@ -25,9 +24,10 @@ using isa::Opcode;
 class FunctionalMachine {
  public:
   FunctionalMachine(const assembler::LoadImage& image, const SimConfig& config)
-      : image_(image), config_(config) {
-    mem_.load_image(image);
-    regs_[isa::kRegSp] = image.stack_top;
+      : image_(image),
+        config_(config),
+        core_(image, result_),
+        fetch_fault_(config.fault) {
     if (image.sofia)
       opener_ = scheme::get_scheme(config.scheme)
                     .make_opener(config.keys, image.omega,
@@ -93,18 +93,9 @@ class FunctionalMachine {
 
   std::uint32_t text_base_word() const { return image_.text_base / 4; }
 
-  /// Same transient-fault model as FetchUnit::apply_fault: flip one bit of
-  /// the N-th raw word this backend fetches.
-  std::uint32_t apply_fault(std::uint32_t word) {
-    const std::uint64_t index = fetch_count_++;
-    if (config_.fault.enabled && index == config_.fault.fetch_index)
-      return word ^ (1u << (config_.fault.bit & 31));
-    return word;
-  }
-
   const Block& enter_block(std::uint32_t target_word, std::uint32_t prev_word) {
     // Deferred invalidation: a store into the text section marks the cache
-    // dirty (see do_store) and we drop it here, between blocks — never while
+    // dirty (see exec) and we drop it here, between blocks — never while
     // run_sofia() still executes out of a reference into cache_.
     if (text_dirty_) {
       cache_.clear();
@@ -144,7 +135,7 @@ class FunctionalMachine {
 
     std::vector<std::uint32_t> raw(b, 0);
     for (const std::uint32_t j : path.sched)
-      raw[j] = apply_fault(mem_.load32((blk.base_word + j) * 4));
+      raw[j] = fetch_fault_.apply(core_.mem().load32((blk.base_word + j) * 4));
     st.fetch_words += path.sched.size();
 
     // ---- open the block through the protection scheme ----
@@ -163,32 +154,13 @@ class FunctionalMachine {
       blk.reset_pc = base_word * 4;
       return blk;
     }
-    const std::vector<std::uint32_t>& plain = dev.plain;
-
-    // ---- decode + placement rules, in SofiaFetch's check order ----
-    for (std::uint32_t w = blk.first_inst; w < b; ++w) {
-      const auto decoded = isa::decode(plain[w]);
-      const std::uint32_t pc = (base_word + w) * 4;
-      if (!decoded) {
-        blk.cause = ResetCause::kIllegalInstruction;
-        blk.cause_is_decode = true;
-        blk.reset_pc = pc;
-        return blk;
-      }
-      const bool last = (w == b - 1);
-      if (isa::is_control(decoded->op) && !last) {
-        blk.cause = ResetCause::kIllegalExit;
-        blk.cause_is_decode = true;
-        blk.reset_pc = pc;
-        return blk;
-      }
-      if (isa::is_store(decoded->op) && w < config_.policy.store_min_word) {
-        blk.cause = ResetCause::kRestrictedStore;
-        blk.cause_is_decode = true;
-        blk.reset_pc = pc;
-        return blk;
-      }
-      blk.insts.push_back(*decoded);
+    const auto violation = check_block(
+        dev.plain, blk.first_inst, config_.policy,
+        [&](std::uint32_t, const Instruction& inst) { blk.insts.push_back(inst); });
+    if (violation) {
+      blk.cause = violation->cause;
+      blk.cause_is_decode = true;
+      blk.reset_pc = (base_word + violation->word) * 4;
     }
     return blk;
   }
@@ -209,8 +181,7 @@ class FunctionalMachine {
         reset(blk.cause, blk.reset_pc);
         return;
       }
-      if (pending && (!blk.gate_indirect || blk.entry_label == 0 ||
-                      blk.entry_label != *pending)) {
+      if (!gate_admits(pending, blk.gate_indirect, blk.entry_label)) {
         reset(ResetCause::kTargetSetViolation, blk.base_word * 4);
         return;
       }
@@ -237,29 +208,22 @@ class FunctionalMachine {
       // jumps and sequential fall-through). A gated indirect exit instead
       // presents the canonical sentinel and arms the label check.
       const Instruction& exit_inst = blk.insts.back();
-      const bool indirect_exit =
-          exit_inst.op == Opcode::kJalr &&
-          !(exit_inst.rd == isa::kRegZero && exit_inst.ra == isa::kRegLr &&
-            exit_inst.imm == 0);
-      if (indirect_exit && blk.gate_indirect) {
+      if (exit_inst.op == Opcode::kJalr && !isa::is_ret(exit_inst) &&
+          blk.gate_indirect) {
         pending = blk.exit_label;
         prev_word = assembler::kIndirectPrevWord;
       } else {
-        prev_word = base_exit_word(blk.base_word, b);
+        prev_word = blk.base_word + b - 1;
       }
       target_word = next / 4;
     }
-  }
-
-  static std::uint32_t base_exit_word(std::uint32_t base_word, std::uint32_t b) {
-    return base_word + b - 1;
   }
 
   void run_vanilla() {
     std::uint32_t pc = image_.entry;
     while (!done_) {
       if (!budget_ok()) return;
-      const auto decoded = isa::decode(apply_fault(mem_.load32(pc)));
+      const auto decoded = isa::decode(fetch_fault_.apply(core_.mem().load32(pc)));
       if (!decoded) {
         reset(ResetCause::kIllegalInstruction, pc);
         return;
@@ -271,204 +235,55 @@ class FunctionalMachine {
     }
   }
 
-  std::uint32_t reg(unsigned r) const { return regs_[r]; }
-
-  void write_reg(unsigned r, std::uint32_t value) {
-    if (r != isa::kRegZero) regs_[r] = value;
-  }
-
-  /// Execute one instruction architecturally; `next` holds the successor
-  /// byte PC (already pc + 4) and is overwritten by taken transfers.
-  void exec(const Instruction& in, std::uint32_t pc, std::uint32_t& next) {
-    auto& st = result_.stats;
-    ++st.insts;
+  /// Execute one instruction; `next` holds the successor byte PC (already
+  /// pc + 4) and is overwritten by taken transfers. Inlined into both run
+  /// loops, so the shared step costs no call per instruction.
+  [[gnu::always_inline]] void exec(const Instruction& in, std::uint32_t pc,
+                                   std::uint32_t& next) {
     if (config_.collect_trace && result_.trace.size() < config_.max_trace)
-      result_.trace.push_back({st.insts, pc, isa::encode(in)});
-
-    const std::uint32_t a = regs_[in.ra];
-    const std::uint32_t bval = regs_[in.rb];
-    const auto sa = static_cast<std::int32_t>(a);
-    const auto sb = static_cast<std::int32_t>(bval);
-    const auto imm = in.imm;
-    const std::uint32_t uimm = static_cast<std::uint32_t>(imm);
-
-    switch (in.op) {
-      case Opcode::kNop:
-        ++st.nops;
-        break;
-      case Opcode::kHalt:
-        finish(RunResult::Status::kHalted);
-        break;
-      case Opcode::kAdd: write_reg(in.rd, a + bval); break;
-      case Opcode::kSub: write_reg(in.rd, a - bval); break;
-      case Opcode::kAnd: write_reg(in.rd, a & bval); break;
-      case Opcode::kOr: write_reg(in.rd, a | bval); break;
-      case Opcode::kXor: write_reg(in.rd, a ^ bval); break;
-      case Opcode::kSll: write_reg(in.rd, a << (bval & 31)); break;
-      case Opcode::kSrl: write_reg(in.rd, a >> (bval & 31)); break;
-      case Opcode::kSra:
-        write_reg(in.rd, static_cast<std::uint32_t>(sa >> (bval & 31)));
-        break;
-      case Opcode::kSlt: write_reg(in.rd, sa < sb ? 1 : 0); break;
-      case Opcode::kSltu: write_reg(in.rd, a < bval ? 1 : 0); break;
-      case Opcode::kMul: write_reg(in.rd, a * bval); break;
-      case Opcode::kAddi: write_reg(in.rd, a + uimm); break;
-      case Opcode::kAndi: write_reg(in.rd, a & uimm); break;
-      case Opcode::kOri: write_reg(in.rd, a | uimm); break;
-      case Opcode::kXori: write_reg(in.rd, a ^ uimm); break;
-      case Opcode::kSlli: write_reg(in.rd, a << (uimm & 31)); break;
-      case Opcode::kSrli: write_reg(in.rd, a >> (uimm & 31)); break;
-      case Opcode::kSrai:
-        write_reg(in.rd, static_cast<std::uint32_t>(sa >> (uimm & 31)));
-        break;
-      case Opcode::kSlti: write_reg(in.rd, sa < imm ? 1 : 0); break;
-      case Opcode::kSltiu: write_reg(in.rd, a < uimm ? 1 : 0); break;
-      case Opcode::kLui: write_reg(in.rd, uimm << 14); break;
-      case Opcode::kLw:
-      case Opcode::kLh:
-      case Opcode::kLhu:
-      case Opcode::kLb:
-      case Opcode::kLbu:
-        if (do_load(in, a + uimm)) ++st.loads;
-        break;
-      case Opcode::kSw:
-      case Opcode::kSh:
-      case Opcode::kSb:
-        if (do_store(in, a + uimm, regs_[in.rd])) ++st.stores;
-        break;
-      case Opcode::kBeq:
-      case Opcode::kBne:
-      case Opcode::kBlt:
-      case Opcode::kBge:
-      case Opcode::kBltu:
-      case Opcode::kBgeu: {
-        ++st.branches;
-        if (eval_branch(in.op, a, bval)) {
-          ++st.taken;
-          next = pc + static_cast<std::uint32_t>(imm * 4);
+      result_.trace.push_back({result_.stats.insts + 1, pc, isa::encode(in)});
+    const StepOutcome out = core_.step(in, pc);
+    switch (out.kind) {
+      case StepOutcome::Kind::kNext:
+        // A store into the text section makes every cached decryption
+        // stale; the cycle machine refetches live and would see (and reset
+        // on) the modified ciphertext. Only mark the cache dirty here: the
+        // executing block is a reference into cache_, so the actual clear
+        // waits until the next enter_block().
+        if (image_.sofia && isa::is_store(in.op)) {
+          const std::uint32_t addr =
+              core_.reg(in.ra) + static_cast<std::uint32_t>(in.imm);
+          if (addr + 4 > image_.text_base &&
+              addr < image_.text_base + image_.text_bytes())
+            text_dirty_ = true;
         }
         break;
-      }
-      case Opcode::kJal:
-        ++st.branches;
-        ++st.taken;
-        write_reg(in.rd, pc + 4);
-        next = pc + static_cast<std::uint32_t>(imm * 4);
+      case StepOutcome::Kind::kTaken:
+        next = out.target;
         break;
-      case Opcode::kJalr:
-        ++st.branches;
-        ++st.taken;
-        next = (a + uimm) & ~3u;
-        write_reg(in.rd, pc + 4);
+      case StepOutcome::Kind::kHalt:
+        finish(RunResult::Status::kHalted);
         break;
-    }
-  }
-
-  static bool eval_branch(Opcode op, std::uint32_t a, std::uint32_t b) {
-    const auto sa = static_cast<std::int32_t>(a);
-    const auto sb = static_cast<std::int32_t>(b);
-    switch (op) {
-      case Opcode::kBeq: return a == b;
-      case Opcode::kBne: return a != b;
-      case Opcode::kBlt: return sa < sb;
-      case Opcode::kBge: return sa >= sb;
-      case Opcode::kBltu: return a < b;
-      case Opcode::kBgeu: return a >= b;
-      default: return false;
-    }
-  }
-
-  bool do_load(const Instruction& in, std::uint32_t addr) {
-    if (addr >= kMmioConsole) {
-      fault("load from MMIO region");
-      return false;
-    }
-    std::uint32_t value = 0;
-    switch (in.op) {
-      case Opcode::kLw:
-        if (addr % 4 != 0) { fault("misaligned lw"); return false; }
-        value = mem_.load32(addr);
-        break;
-      case Opcode::kLh:
-        if (addr % 2 != 0) { fault("misaligned lh"); return false; }
-        value = static_cast<std::uint32_t>(sign_extend(mem_.load16(addr), 16));
-        break;
-      case Opcode::kLhu:
-        if (addr % 2 != 0) { fault("misaligned lhu"); return false; }
-        value = mem_.load16(addr);
-        break;
-      case Opcode::kLb:
-        value = static_cast<std::uint32_t>(sign_extend(mem_.load8(addr), 8));
-        break;
-      case Opcode::kLbu:
-        value = mem_.load8(addr);
-        break;
-      default:
-        return false;
-    }
-    write_reg(in.rd, value);
-    return true;
-  }
-
-  bool do_store(const Instruction& in, std::uint32_t addr, std::uint32_t value) {
-    if (addr >= kMmioConsole) return do_mmio(addr, value);
-    switch (in.op) {
-      case Opcode::kSw:
-        if (addr % 4 != 0) { fault("misaligned sw"); return false; }
-        mem_.store32(addr, value);
-        break;
-      case Opcode::kSh:
-        if (addr % 2 != 0) { fault("misaligned sh"); return false; }
-        mem_.store16(addr, static_cast<std::uint16_t>(value));
-        break;
-      case Opcode::kSb:
-        mem_.store8(addr, static_cast<std::uint8_t>(value));
-        break;
-      default:
-        return false;
-    }
-    // A store into the text section makes every cached decryption stale;
-    // the cycle machine refetches live and would see (and reset on) the
-    // modified ciphertext. Only mark the cache dirty here — the executing
-    // block is a reference into cache_, so the actual clear waits until
-    // the next enter_block().
-    if (image_.sofia && addr + 4 > image_.text_base &&
-        addr < image_.text_base + image_.text_bytes())
-      text_dirty_ = true;
-    return true;
-  }
-
-  bool do_mmio(std::uint32_t addr, std::uint32_t value) {
-    switch (addr) {
-      case kMmioConsole:
-        result_.output.push_back(static_cast<char>(value & 0xFF));
-        return true;
-      case kMmioExit:
-        result_.exit_code = static_cast<int>(value);
+      case StepOutcome::Kind::kExit:
         finish(RunResult::Status::kExited);
-        return false;
-      case kMmioPutInt:
-        result_.output += std::to_string(static_cast<std::int32_t>(value));
-        result_.output.push_back('\n');
-        return true;
-      default:
-        fault("store to unmapped MMIO address");
-        return false;
+        break;
+      case StepOutcome::Kind::kFault:
+        fault(out.fault);
+        break;
     }
   }
 
   const assembler::LoadImage& image_;
   const SimConfig& config_;
-  Memory mem_;
+  RunResult result_;
+  Core core_;
+  FetchFault fetch_fault_;
   /// The device side of config_.scheme (null for vanilla images).
   std::unique_ptr<scheme::Opener> opener_;
   std::unordered_map<std::uint64_t, Block> cache_;
   Block scratch_;  ///< fault-injection runs bypass the cache
   bool text_dirty_ = false;  ///< store hit text; clear cache_ between blocks
-  std::uint32_t regs_[isa::kNumRegs] = {};
-  std::uint64_t fetch_count_ = 0;
   bool done_ = false;
-  RunResult result_;
 };
 
 }  // namespace

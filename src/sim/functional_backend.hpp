@@ -8,7 +8,9 @@
 // cipher-engine scheduling, no store gate. Control flow is purely
 // architectural (no fall-through speculation), and blocks that verified
 // once are cached by (entry word, prevPC) so loop bodies decrypt and MAC
-// exactly once.
+// exactly once. Instructions run through the shared SR32 step and blocks
+// through the shared per-word check (sim/core.hpp), the same code the
+// cycle machine uses.
 //
 // Consequences, documented as contract:
 //  * stats.cycles is the retired instruction count (capabilities()

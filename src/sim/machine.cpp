@@ -5,11 +5,10 @@
 
 #include "isa/disasm.hpp"
 #include "sim/cipher_engine.hpp"
-#include "support/hex.hpp"
+#include "sim/core.hpp"
 #include "sim/fetch.hpp"
 #include "sim/icache.hpp"
-#include "sim/memory.hpp"
-#include "support/bits.hpp"
+#include "support/hex.hpp"
 
 namespace sofia::sim {
 
@@ -59,13 +58,16 @@ using isa::Opcode;
 class Machine {
  public:
   Machine(const assembler::LoadImage& image, const SimConfig& config)
-      : config_(config), icache_(config.icache), engine_(config.cipher) {
-    mem_.load_image(image);
-    regs_[isa::kRegSp] = image.stack_top;
+      : config_(config),
+        core_(image, result_),
+        icache_(config.icache),
+        engine_(config.cipher) {
     if (image.sofia)
-      fetch_ = std::make_unique<SofiaFetch>(mem_, icache_, engine_, config_, image);
+      fetch_ = std::make_unique<SofiaFetch>(core_.mem(), icache_, engine_, config_,
+                                            image);
     else
-      fetch_ = std::make_unique<VanillaFetch>(mem_, icache_, config_, image.entry);
+      fetch_ = std::make_unique<VanillaFetch>(core_.mem(), icache_, config_,
+                                              image.entry);
   }
 
   RunResult run() {
@@ -96,19 +98,8 @@ class Machine {
     done_ = true;
   }
 
-  void fault(const std::string& message, std::uint64_t at_cycle) {
-    result_.fault = message;
-    finish(RunResult::Status::kFault, at_cycle);
-  }
-
   std::uint64_t reg_ready(unsigned r) const {
     return r == isa::kRegZero ? 0 : reg_ready_[r];
-  }
-
-  void write_reg(unsigned r, std::uint32_t value, std::uint64_t ready_cycle) {
-    if (r == isa::kRegZero) return;
-    regs_[r] = value;
-    reg_ready_[r] = ready_cycle;
   }
 
   void exec_step() {
@@ -125,18 +116,20 @@ class Machine {
     execute(fi);
   }
 
+  /// Time one instruction around the shared step: wait for its operands
+  /// (forwarding is modelled by reg_ready timestamps) and its store gate,
+  /// execute it, then publish when its result is usable and where fetch
+  /// continues.
   void execute(const FetchedInst& fi) {
     const Instruction& in = fi.inst;
     auto& st = result_.stats;
     if (config_.collect_trace && result_.trace.size() < config_.max_trace)
       result_.trace.push_back({cycle_, fi.pc, isa::encode(in)});
-    // Operand availability (forwarding modeled by reg_ready timestamps).
     std::uint64_t start = cycle_;
     switch (in.op) {
       case Opcode::kNop:
       case Opcode::kHalt:
       case Opcode::kLui:
-        break;
       case Opcode::kJal:
         break;
       default:
@@ -153,196 +146,36 @@ class Machine {
     }
     st.exec_stall_cycles += start - cycle_;
 
-    ++st.insts;
-    if (in.op == Opcode::kNop) ++st.nops;
-    std::uint64_t duration = 1;
-
-    const std::uint32_t a = regs_[in.ra];
-    const std::uint32_t bval = regs_[in.rb];
-    const auto sa = static_cast<std::int32_t>(a);
-    const auto sb = static_cast<std::int32_t>(bval);
-    const auto imm = in.imm;
-    const std::uint32_t uimm = static_cast<std::uint32_t>(imm);
-
-    switch (in.op) {
-      case Opcode::kNop:
+    const StepOutcome out = core_.step(in, fi.pc);
+    const std::uint64_t duration =
+        in.op == Opcode::kMul ? config_.mul_latency : 1;
+    if (isa::writes_rd(in.op))
+      reg_ready_[in.rd] =
+          start + (isa::is_load(in.op) ? config_.load_latency : duration);
+    switch (out.kind) {
+      case StepOutcome::Kind::kNext:
         break;
-      case Opcode::kHalt:
-        finish(RunResult::Status::kHalted, start + 1);
-        return;
-      case Opcode::kAdd: write_reg(in.rd, a + bval, start + 1); break;
-      case Opcode::kSub: write_reg(in.rd, a - bval, start + 1); break;
-      case Opcode::kAnd: write_reg(in.rd, a & bval, start + 1); break;
-      case Opcode::kOr: write_reg(in.rd, a | bval, start + 1); break;
-      case Opcode::kXor: write_reg(in.rd, a ^ bval, start + 1); break;
-      case Opcode::kSll: write_reg(in.rd, a << (bval & 31), start + 1); break;
-      case Opcode::kSrl: write_reg(in.rd, a >> (bval & 31), start + 1); break;
-      case Opcode::kSra:
-        write_reg(in.rd, static_cast<std::uint32_t>(sa >> (bval & 31)), start + 1);
-        break;
-      case Opcode::kSlt: write_reg(in.rd, sa < sb ? 1 : 0, start + 1); break;
-      case Opcode::kSltu: write_reg(in.rd, a < bval ? 1 : 0, start + 1); break;
-      case Opcode::kMul:
-        write_reg(in.rd, a * bval, start + config_.mul_latency);
-        duration = config_.mul_latency;
-        break;
-      case Opcode::kAddi:
-        write_reg(in.rd, a + uimm, start + 1);
-        break;
-      case Opcode::kAndi: write_reg(in.rd, a & uimm, start + 1); break;
-      case Opcode::kOri: write_reg(in.rd, a | uimm, start + 1); break;
-      case Opcode::kXori: write_reg(in.rd, a ^ uimm, start + 1); break;
-      case Opcode::kSlli: write_reg(in.rd, a << (uimm & 31), start + 1); break;
-      case Opcode::kSrli: write_reg(in.rd, a >> (uimm & 31), start + 1); break;
-      case Opcode::kSrai:
-        write_reg(in.rd, static_cast<std::uint32_t>(sa >> (uimm & 31)), start + 1);
-        break;
-      case Opcode::kSlti: write_reg(in.rd, sa < imm ? 1 : 0, start + 1); break;
-      case Opcode::kSltiu: write_reg(in.rd, a < uimm ? 1 : 0, start + 1); break;
-      case Opcode::kLui:
-        write_reg(in.rd, uimm << 14, start + 1);
-        break;
-      case Opcode::kLw:
-      case Opcode::kLh:
-      case Opcode::kLhu:
-      case Opcode::kLb:
-      case Opcode::kLbu:
-        if (!do_load(in, a + uimm, start)) return;
-        ++st.loads;
-        break;
-      case Opcode::kSw:
-      case Opcode::kSh:
-      case Opcode::kSb:
-        if (!do_store(in, a + uimm, regs_[in.rd], start)) return;
-        ++st.stores;
-        break;
-      case Opcode::kBeq:
-      case Opcode::kBne:
-      case Opcode::kBlt:
-      case Opcode::kBge:
-      case Opcode::kBltu:
-      case Opcode::kBgeu: {
-        ++st.branches;
-        const bool taken = eval_branch(in.op, a, bval);
-        if (taken) {
-          // Squash the fall-through speculation.
-          ++st.taken;
-          redirect(fi.pc + static_cast<std::uint32_t>(imm * 4), fi.pc, start);
+      case StepOutcome::Kind::kTaken:
+        // A taken branch squashes the fall-through speculation; fetch
+        // already followed a direct jump unless it could not.
+        if (in.op != Opcode::kJal || !fi.fetch_redirected) {
+          queue_.clear();
+          fetch_->redirect(out.target, fi.pc, start + config_.redirect_bubble,
+                           /*indirect=*/in.op == Opcode::kJalr && !isa::is_ret(in));
         }
         break;
-      }
-      case Opcode::kJal: {
-        ++st.branches;
-        ++st.taken;
-        write_reg(in.rd, fi.pc + 4, start + 1);
-        if (!fi.fetch_redirected)
-          redirect(fi.pc + static_cast<std::uint32_t>(imm * 4), fi.pc, start);
-        break;
-      }
-      case Opcode::kJalr: {
-        ++st.branches;
-        ++st.taken;
-        const std::uint32_t target = (a + uimm) & ~3u;
-        const bool is_ret = in.rd == isa::kRegZero && in.ra == isa::kRegLr &&
-                            in.imm == 0;
-        write_reg(in.rd, fi.pc + 4, start + 1);
-        redirect(target, fi.pc, start, /*indirect=*/!is_ret);
-        break;
-      }
+      case StepOutcome::Kind::kHalt:
+        finish(RunResult::Status::kHalted, start + 1);
+        return;
+      case StepOutcome::Kind::kExit:
+        finish(RunResult::Status::kExited, start + 1);
+        return;
+      case StepOutcome::Kind::kFault:
+        result_.fault = out.fault;
+        finish(RunResult::Status::kFault, start);
+        return;
     }
     busy_until_ = start + duration;
-  }
-
-  bool eval_branch(Opcode op, std::uint32_t a, std::uint32_t b) const {
-    const auto sa = static_cast<std::int32_t>(a);
-    const auto sb = static_cast<std::int32_t>(b);
-    switch (op) {
-      case Opcode::kBeq: return a == b;
-      case Opcode::kBne: return a != b;
-      case Opcode::kBlt: return sa < sb;
-      case Opcode::kBge: return sa >= sb;
-      case Opcode::kBltu: return a < b;
-      case Opcode::kBgeu: return a >= b;
-      default: return false;
-    }
-  }
-
-  void redirect(std::uint32_t target, std::uint32_t from_pc, std::uint64_t start,
-                bool indirect = false) {
-    queue_.clear();
-    fetch_->redirect(target, from_pc, start + config_.redirect_bubble, indirect);
-  }
-
-  bool do_load(const Instruction& in, std::uint32_t addr, std::uint64_t start) {
-    if (addr >= kMmioConsole) {
-      fault("load from MMIO region", start);
-      return false;
-    }
-    std::uint32_t value = 0;
-    switch (in.op) {
-      case Opcode::kLw:
-        if (addr % 4 != 0) { fault("misaligned lw", start); return false; }
-        value = mem_.load32(addr);
-        break;
-      case Opcode::kLh:
-        if (addr % 2 != 0) { fault("misaligned lh", start); return false; }
-        value = static_cast<std::uint32_t>(sign_extend(mem_.load16(addr), 16));
-        break;
-      case Opcode::kLhu:
-        if (addr % 2 != 0) { fault("misaligned lhu", start); return false; }
-        value = mem_.load16(addr);
-        break;
-      case Opcode::kLb:
-        value = static_cast<std::uint32_t>(sign_extend(mem_.load8(addr), 8));
-        break;
-      case Opcode::kLbu:
-        value = mem_.load8(addr);
-        break;
-      default:
-        return false;
-    }
-    write_reg(in.rd, value, start + config_.load_latency);
-    return true;
-  }
-
-  bool do_store(const Instruction& in, std::uint32_t addr, std::uint32_t value,
-                std::uint64_t start) {
-    if (addr >= kMmioConsole) return do_mmio(addr, value, start);
-    switch (in.op) {
-      case Opcode::kSw:
-        if (addr % 4 != 0) { fault("misaligned sw", start); return false; }
-        mem_.store32(addr, value);
-        break;
-      case Opcode::kSh:
-        if (addr % 2 != 0) { fault("misaligned sh", start); return false; }
-        mem_.store16(addr, static_cast<std::uint16_t>(value));
-        break;
-      case Opcode::kSb:
-        mem_.store8(addr, static_cast<std::uint8_t>(value));
-        break;
-      default:
-        return false;
-    }
-    return true;
-  }
-
-  bool do_mmio(std::uint32_t addr, std::uint32_t value, std::uint64_t start) {
-    switch (addr) {
-      case kMmioConsole:
-        result_.output.push_back(static_cast<char>(value & 0xFF));
-        return true;
-      case kMmioExit:
-        result_.exit_code = static_cast<int>(value);
-        finish(RunResult::Status::kExited, start + 1);
-        return false;
-      case kMmioPutInt:
-        result_.output += std::to_string(static_cast<std::int32_t>(value));
-        result_.output.push_back('\n');
-        return true;
-      default:
-        fault("store to unmapped MMIO address", start);
-        return false;
-    }
   }
 
   void collect_stats() {
@@ -358,17 +191,16 @@ class Machine {
   }
 
   const SimConfig& config_;
-  Memory mem_;
+  RunResult result_;
+  Core core_;
   ICache icache_;
   CipherEngine engine_;
   std::unique_ptr<FetchUnit> fetch_;
   std::deque<FetchedInst> queue_;
-  std::uint32_t regs_[isa::kNumRegs] = {};
   std::uint64_t reg_ready_[isa::kNumRegs] = {};
   std::uint64_t cycle_ = 0;
   std::uint64_t busy_until_ = 0;
   bool done_ = false;
-  RunResult result_;
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Top-level simulator: wires memory, I-cache, cipher engine, the selected
+// Top-level simulator: wires the I-cache, cipher engine, the selected
 // front end (vanilla or SOFIA, from the image) and the execute side
-// together, and runs an image to completion.
+// together, and runs an image to completion. The execute side is the
+// shared SR32 step (sim/core.hpp) wrapped with operand-ready timing.
 #pragma once
 
 #include "assembler/image.hpp"

@@ -260,7 +260,7 @@ class Engine {
         if (stores)
           stores->push_back(
               StoreFact{i, word_addr, access_size(inst->op), addr});
-      } else if (inst->op == isa::Opcode::kJalr && !cfg::is_ret(*inst)) {
+      } else if (inst->op == isa::Opcode::kJalr && !isa::is_ret(*inst)) {
         // The hardware clears the two low bits of the computed target.
         AbsVal target = AbsVal::add(
             reg(s, inst->ra),
@@ -342,7 +342,7 @@ class Engine {
       } else if (in.op == isa::Opcode::kJal) {
         flow_to((exit_word + in.imm) * 4, out);
       } else if (in.op == isa::Opcode::kJalr) {
-        if (cfg::is_ret(in)) {
+        if (isa::is_ret(in)) {
           for (const std::uint32_t target : blk.ret_targets)
             flow_to(target, out);
         } else {

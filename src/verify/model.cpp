@@ -82,7 +82,7 @@ ProgramModel model_of(const xform::TransformResult& t) {
   // addresses the sealed labels authorize).
   for (std::uint32_t i = 0; i < t.normalized.text.size(); ++i) {
     const assembler::SourceInst& si = t.normalized.text[i];
-    if (si.inst.op != isa::Opcode::kJalr || cfg::is_ret(si.inst)) continue;
+    if (si.inst.op != isa::Opcode::kJalr || isa::is_ret(si.inst)) continue;
     const auto blk = block_of(i);
     if (!blk) continue;  // elided
     std::vector<std::uint32_t> targets;

@@ -406,7 +406,7 @@ class Linter {
               "store at block word " + std::to_string(word_index) +
                   "; the policy confines stores to words >= " +
                   std::to_string(m_.policy.store_min_word));
-        if (inst->op == isa::Opcode::kJalr && !cfg::is_ret(*inst) &&
+        if (inst->op == isa::Opcode::kJalr && !isa::is_ret(*inst) &&
             !(scheme_.traits().gates_indirect && !blk.jalr_targets.empty()))
           add(Rule::kStrayIndirectJump, static_cast<std::int64_t>(i), insn,
               "indirect jump survived devirtualization; its targets cannot "
@@ -477,7 +477,7 @@ class Linter {
         resolve(i, exit_word, (exit_word + in.imm) * 4, prev,
                 in.rd == isa::kRegZero ? "jump" : "call");
       } else if (in.op == isa::Opcode::kJalr) {
-        if (cfg::is_ret(in)) {
+        if (isa::is_ret(in)) {
           for (const std::uint32_t target : blk.ret_targets)
             resolve(i, exit_word, target, prev, "return");
         } else {

@@ -521,7 +521,7 @@ class Packer {
     std::vector<scheme::IndirectSite> sites;
     for (std::uint32_t i = 0; i < prog_.text.size(); ++i) {
       const assembler::SourceInst& si = prog_.text[i];
-      if (si.inst.op != Opcode::kJalr || cfg::is_ret(si.inst)) continue;
+      if (si.inst.op != Opcode::kJalr || isa::is_ret(si.inst)) continue;
       if (placement_.find(i) == placement_.end()) continue;  // elided
       scheme::IndirectSite site;
       site.exit_word = out_.placed_addr(i) / 4;

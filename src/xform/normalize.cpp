@@ -79,7 +79,7 @@ Program devirtualize(const Program& prog, bool keep_jump_form) {
   for (std::uint32_t i = 0; i < prog.text.size(); ++i) {
     new_index[i] = static_cast<std::uint32_t>(out.text.size());
     const SourceInst& si = prog.text[i];
-    const bool indirect = si.inst.op == Opcode::kJalr && !cfg::is_ret(si.inst);
+    const bool indirect = si.inst.op == Opcode::kJalr && !isa::is_ret(si.inst);
     if (!indirect) {
       out.text.push_back(si);
       continue;

@@ -4,9 +4,12 @@
 // forward between segments, loops are bounded counted loops on a dedicated
 // register, and calls target non-recursive leaf functions. Every program
 // ends by printing r1..r8 (so any architectural divergence is observable)
-// and halting.
+// and halting. Registers r1..r8 and the 64-byte r9 buffer start with
+// random values of either sign.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -30,23 +33,49 @@ inline std::string random_program(Rng& rng, const GeneratorOptions& opts = {}) {
 
   auto reg = [&rng]() { return "r" + std::to_string(rng.next_range(1, 8)); };
   auto imm = [&rng]() { return std::to_string(rng.next_range(-100, 100)); };
+  // A full-width or a small signed value, so signed and unsigned compares,
+  // sign-extending loads and shifts all see both signs.
+  auto value = [&rng]() {
+    return std::to_string(rng.next_bool() ? rng.next_u32()
+                                          : static_cast<std::uint32_t>(
+                                                rng.next_range(-100, 100)));
+  };
 
+  auto pick = [&rng](std::initializer_list<const char*> ops) {
+    return std::string(ops.begin()[rng.next_below(ops.size())]);
+  };
+  // A load or store on the 64-byte r9 buffer, aligned to its width.
+  auto mem_op = [&](std::initializer_list<const char*> ops) {
+    const std::string op = pick(ops);
+    const long long width = op == "lw" || op == "sw" ? 4 : op[1] == 'h' ? 2 : 1;
+    return "  " + op + " " + reg() + ", " +
+           std::to_string(width * rng.next_range(0, 64 / width - 1)) + "(r9)\n";
+  };
+
+  // Every ALU op, every load and store width and calls. Stores come last
+  // so allow_stores = false simply narrows the draw.
   auto random_inst = [&](bool in_function) {
-    switch (rng.next_below(opts.allow_stores ? 10 : 8)) {
-      case 0: return "  add " + reg() + ", " + reg() + ", " + reg() + "\n";
-      case 1: return "  sub " + reg() + ", " + reg() + ", " + reg() + "\n";
-      case 2: return "  xor " + reg() + ", " + reg() + ", " + reg() + "\n";
-      case 3: return "  addi " + reg() + ", " + reg() + ", " + imm() + "\n";
-      case 4: return "  mul " + reg() + ", " + reg() + ", " + reg() + "\n";
-      case 5: return "  slli " + reg() + ", " + reg() + ", " +
-                     std::to_string(rng.next_range(0, 7)) + "\n";
-      case 6: return "  slt " + reg() + ", " + reg() + ", " + reg() + "\n";
-      case 7:
-        return "  lw " + reg() + ", " +
-               std::to_string(4 * rng.next_range(0, 15)) + "(r9)\n";
+    switch (rng.next_below(opts.allow_stores ? 9 : 8)) {
+      case 0:
+      case 1:
+      case 2:
+        return "  " +
+               pick({"add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt",
+                     "sltu", "mul"}) +
+               " " + reg() + ", " + reg() + ", " + reg() + "\n";
+      case 3:
+        return "  " + pick({"addi", "slti", "sltiu"}) + " " + reg() + ", " + reg() +
+               ", " + imm() + "\n";
+      case 4:  // logical immediates are zero-extended
+        return "  " + pick({"andi", "ori", "xori"}) + " " + reg() + ", " + reg() +
+               ", " + std::to_string(rng.next_range(0, 4095)) + "\n";
+      case 5:
+        return "  " + pick({"slli", "srli", "srai"}) + " " + reg() + ", " + reg() +
+               ", " + std::to_string(rng.next_range(0, 31)) + "\n";
+      case 6:
+        return mem_op({"lw", "lh", "lhu", "lb", "lbu"});
       case 8:
-        return "  sw " + reg() + ", " +
-               std::to_string(4 * rng.next_range(0, 15)) + "(r9)\n";
+        return mem_op({"sw", "sh", "sb"});
       default:
         // Calls only from main (leaf functions stay leaves).
         if (in_function || functions == 0)
@@ -57,6 +86,8 @@ inline std::string random_program(Rng& rng, const GeneratorOptions& opts = {}) {
   };
 
   std::string src = "main:\n  la r9, buf\n";
+  for (int r = 1; r <= 8; ++r)
+    src += "  li r" + std::to_string(r) + ", " + value() + "\n";
   // A bounded loop around the whole body exercises backward edges.
   const bool looped = opts.allow_loops && rng.next_bool(0.6);
   if (looped) {
@@ -70,9 +101,8 @@ inline std::string random_program(Rng& rng, const GeneratorOptions& opts = {}) {
     // Optional forward conditional branch (termination-safe).
     if (s + 2 < segments && rng.next_bool(0.5)) {
       const long long target = rng.next_range(s + 1, segments - 1);
-      const char* cond = rng.next_bool() ? "beq" : "blt";
-      src += std::string("  ") + cond + " " + reg() + ", " + reg() + ", seg" +
-             std::to_string(target) + "\n";
+      src += "  " + pick({"beq", "bne", "blt", "bge", "bltu", "bgeu"}) + " " + reg() +
+             ", " + reg() + ", seg" + std::to_string(target) + "\n";
     }
   }
   src += "seg" + std::to_string(segments) + ":\n";
@@ -98,7 +128,9 @@ inline std::string random_program(Rng& rng, const GeneratorOptions& opts = {}) {
     }
     src += "  ret\n";
   }
-  src += ".data\nbuf: .space 64\n";
+  src += ".data\nbuf: .word " + value();
+  for (int w = 1; w < 16; ++w) src += ", " + value();
+  src += "\n";
   return src;
 }
 

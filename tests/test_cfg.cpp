@@ -164,12 +164,12 @@ TEST(Cfg, RetPseudoRecognized) {
   isa::Instruction ret;
   ret.op = isa::Opcode::kJalr;
   ret.ra = isa::kRegLr;
-  EXPECT_TRUE(is_ret(ret));
+  EXPECT_TRUE(isa::is_ret(ret));
   ret.imm = 4;
-  EXPECT_FALSE(is_ret(ret));
+  EXPECT_FALSE(isa::is_ret(ret));
   ret.imm = 0;
   ret.rd = 1;
-  EXPECT_FALSE(is_ret(ret));
+  EXPECT_FALSE(isa::is_ret(ret));
 }
 
 TEST(Cfg, RetInUncalledEntryRejected) {
@@ -217,7 +217,7 @@ g:
   // No non-ret jalr left.
   for (const auto& si : out.text) {
     if (si.inst.op == isa::Opcode::kJalr) {
-      EXPECT_TRUE(cfg::is_ret(si.inst));
+      EXPECT_TRUE(isa::is_ret(si.inst));
     }
   }
   // And the result builds a CFG where f has two call sites? No — one

@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "crypto/ctr.hpp"
 #include "random_program.hpp"
 #include "reference_interp.hpp"
+#include "sim/backend.hpp"
 #include "sim_test_util.hpp"
 
 namespace sofia {
@@ -172,7 +174,9 @@ class FuzzSemantics : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzSemantics, PipelinedMachineMatchesReferenceInterpreter) {
   // Differential check against a timing-free oracle: hazards, speculation
-  // squash and store gating must never change architectural results.
+  // squash and store gating must never change architectural results, and
+  // neither backend may drift from the oracle on the vanilla or the SOFIA
+  // image.
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 48271 + 11);
   const std::string src = test::random_program(rng);
   SCOPED_TRACE(src);
@@ -181,16 +185,21 @@ TEST_P(FuzzSemantics, PipelinedMachineMatchesReferenceInterpreter) {
   const auto ref = test::reference_run(img);
   ASSERT_TRUE(ref.halted);
 
-  const auto vrun = sim::run_image(img, test::vanilla_config());
-  ASSERT_TRUE(vrun.ok());
-  EXPECT_EQ(vrun.output, ref.output);
-  EXPECT_EQ(vrun.exit_code, ref.exit_code);
-
   const auto keys = test::test_keys();
   const auto result = test::transform_source(src, keys);
-  const auto srun = sim::run_image(result.image, test::sofia_config(keys));
-  ASSERT_TRUE(srun.ok());
-  EXPECT_EQ(srun.output, ref.output);
+  const auto functional = sim::make_backend("functional");
+  const std::pair<const char*, sim::RunResult> runs[] = {
+      {"cycle vanilla", sim::run_image(img, test::vanilla_config())},
+      {"cycle sofia", sim::run_image(result.image, test::sofia_config(keys))},
+      {"functional vanilla", functional->run(img, test::vanilla_config())},
+      {"functional sofia", functional->run(result.image, test::sofia_config(keys))},
+  };
+  for (const auto& [label, run] : runs) {
+    SCOPED_TRACE(label);
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(run.output, ref.output);
+    EXPECT_EQ(run.exit_code, ref.exit_code);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSemantics, ::testing::Range(0, 32));

@@ -472,13 +472,9 @@ void render_run(const RunResult& r, std::string& out) {
   out += "\n";
 }
 
-TEST(WorkCounters, CycleBackendCountersArePinned) {
-  // Every counter the cycle backend reports, for every workload x scheme x
-  // cipher at a small size (plus the vanilla baseline), pinned as one
-  // digest. The counters are deterministic, so this gates the modelled work
-  // exactly and never the wall clock: a host-side speed-up must leave the
-  // digest alone, while a deliberate model change (or a new workload or
-  // scheme) updates it in the same commit.
+/// Every counter `backend` reports, for every workload x scheme x cipher at
+/// a small size (plus the vanilla baseline), rendered as one document.
+std::string render_all_runs(const std::string& backend) {
   std::string rendered;
   for (const auto& spec : workloads::all_workloads()) {
     const std::uint32_t size = std::max<std::uint32_t>(8, spec.default_size / 8);
@@ -487,7 +483,7 @@ TEST(WorkCounters, CycleBackendCountersArePinned) {
                             crypto::CipherKind::kSpeck64_128}) {
         auto profile = pipeline::DeviceProfile::example(ck);
         profile.scheme = scheme;
-        profile.backend = "cycle";
+        profile.backend = backend;
         auto p = pipeline::Pipeline::from_workload(spec.name, 1, size, profile);
         rendered += spec.name + " " + scheme + " " + std::string(crypto::to_string(ck)) + "\n";
         render_run(p.run(), rendered);
@@ -495,8 +491,24 @@ TEST(WorkCounters, CycleBackendCountersArePinned) {
       }
     }
   }
-  EXPECT_EQ(support::sha256_hex(rendered),
+  return rendered;
+}
+
+TEST(WorkCounters, CycleBackendCountersArePinned) {
+  // The counters are deterministic, so this gates the modelled work
+  // exactly and never the wall clock: a host-side speed-up must leave the
+  // digest alone, while a deliberate model change (or a new workload or
+  // scheme) updates it in the same commit.
+  EXPECT_EQ(support::sha256_hex(render_all_runs("cycle")),
             "3cb834122ce8b671d1321247b213b103eaf7100979eb06aca43a4f00640752c2");
+}
+
+TEST(WorkCounters, FunctionalBackendCountersArePinned) {
+  // The same pin for the functional backend (the one attack campaigns run
+  // on): its retired-instruction clock, its once-per-(entry, prevPC) block
+  // work and every architectural counter.
+  EXPECT_EQ(support::sha256_hex(render_all_runs("functional")),
+            "56467927f6375466b39850c363e58a9f0ea7d65ea07ab73fad704b140b59ec7f");
 }
 
 TEST(MaxCycles, SofiaInfiniteLoopBounded) {
