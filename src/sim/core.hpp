@@ -10,7 +10,9 @@
 //    functional machine counts retired instructions).
 //  * check_block / gate_admits — the per-word decode and placement rules
 //    of an opened SOFIA block, and its forward-edge label check.
-//  * FetchFault — the transient fetch-fault model (SimConfig::fault).
+//  * FetchFault — the transient fetch-fault model (SimConfig::fault),
+//    including the bookkeeping a front end needs to serve a block from a
+//    cache without refetching it.
 //
 // Everything here is header-inline so each run loop inlines the step: no
 // virtual call, no std::function, and no allocation beyond console output.
@@ -238,6 +240,18 @@ class FetchFault {
       return word ^ (1u << (fault_.bit & 31));
     return word;
   }
+
+  /// True while the armed flip is still ahead of the fetch stream.
+  bool pending() const { return fault_.enabled && fault_.fetch_index >= count_; }
+
+  /// True when the armed flip lands in the next `words` fetches.
+  bool lands_within(std::uint64_t words) const {
+    return pending() && fault_.fetch_index - count_ < words;
+  }
+
+  /// Account `words` fetches served without apply(); none may take the
+  /// flip (see lands_within).
+  void skip(std::uint64_t words) { count_ += words; }
 
  private:
   FaultInjection fault_;

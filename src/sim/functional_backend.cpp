@@ -1,5 +1,6 @@
 #include "sim/functional_backend.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -62,6 +63,18 @@ class FunctionalMachine {
     std::uint8_t entry_label = 0;  ///< label of the entered path
     std::uint8_t exit_label = 0;   ///< label the exit jalr may reach
     std::vector<Instruction> insts;
+    /// What opening this block cost: counted on every fresh open, and on
+    /// every reuse while a fault is armed (so the counts equal those of a
+    /// run that refetches every block).
+    std::uint32_t fetch_words = 0;
+    std::uint32_t ctr_ops = 0;
+    std::uint32_t cbc_ops = 0;
+    std::uint32_t mac_words = 0;
+    bool verifies = false;
+    /// The cached block entered after this one last time, and its key:
+    /// the steady-state loop follows it instead of hashing into cache_.
+    Block* succ = nullptr;
+    std::uint64_t succ_key = 0;
   };
 
   // ---- outcome plumbing ---------------------------------------------------
@@ -94,36 +107,81 @@ class FunctionalMachine {
   std::uint32_t text_base_word() const { return image_.text_base / 4; }
 
   const Block& enter_block(std::uint32_t target_word, std::uint32_t prev_word) {
-    // Deferred invalidation: a store into the text section marks the cache
+    // Deferred invalidation: a store over cached code marks the cache
     // dirty (see exec) and we drop it here, between blocks — never while
-    // run_sofia() still executes out of a reference into cache_.
+    // run_sofia() still executes out of a reference into cache_. The
+    // successor links die with their blocks.
     if (text_dirty_) {
       cache_.clear();
+      cached_lo_ = image_.text_base;
+      cached_hi_ = std::uint64_t{image_.text_base} + image_.text_bytes();
       text_dirty_ = false;
+      last_ = nullptr;
     }
     const std::uint64_t key =
         (static_cast<std::uint64_t>(target_word) << 32) | prev_word;
-    // With a fault armed every entry must refetch, or the fetch counter
-    // would never reach the configured injection index.
-    if (!config_.fault.enabled) {
-      if (const auto it = cache_.find(key); it != cache_.end())
-        return it->second;
+    Block* blk = nullptr;
+    if (last_ != nullptr && last_->succ != nullptr && last_->succ_key == key) {
+      blk = last_->succ;
+    } else if (const auto it = cache_.find(key); it != cache_.end()) {
+      blk = &it->second;
     }
-    Block blk = decode_block(target_word, prev_word);
-    if (config_.fault.enabled) {
-      scratch_ = std::move(blk);
+    // A cached block is reused unless the armed flip lands in the words it
+    // fetches; under an armed fault the reuse still advances the fetch
+    // counter and counts the open, so every counter matches a refetch.
+    if (blk != nullptr && !fetch_fault_.lands_within(blk->fetch_words)) {
+      if (config_.fault.enabled) {
+        fetch_fault_.skip(blk->fetch_words);
+        count_open(*blk);
+      }
+      return follow(key, *blk);
+    }
+    return open_block(key);
+  }
+
+  /// Open the block under `key` fresh and cache it, unless its fetch takes
+  /// the armed flip. Kept out of line: the steady state of a run never
+  /// gets here.
+  [[gnu::noinline]] const Block& open_block(std::uint64_t key) {
+    const bool flip_ahead = fetch_fault_.pending();
+    Block fresh = decode_block(static_cast<std::uint32_t>(key >> 32),
+                               static_cast<std::uint32_t>(key));
+    count_open(fresh);
+    if (flip_ahead && !fetch_fault_.pending()) {
+      // This open took the flip: run it once, never cache it.
+      scratch_ = std::move(fresh);
+      last_ = nullptr;
       return scratch_;
     }
-    return cache_.emplace(key, std::move(blk)).first->second;
+    return follow(key, cache_.emplace(key, std::move(fresh)).first->second);
+  }
+
+  /// Enter the cached `blk` (key `key`): it becomes the successor of the
+  /// cached block that ran last, and the block that runs now.
+  const Block& follow(std::uint64_t key, Block& blk) {
+    if (last_ != nullptr) {
+      last_->succ = &blk;
+      last_->succ_key = key;
+    }
+    last_ = &blk;
+    return blk;
+  }
+
+  void count_open(const Block& blk) {
+    auto& st = result_.stats;
+    ++st.blocks_fetched;
+    st.fetch_words += blk.fetch_words;
+    st.ctr_ops += blk.ctr_ops;
+    st.cbc_ops += blk.cbc_ops;
+    st.mac_words += blk.mac_words;
+    if (blk.verifies) ++st.mac_verifications;
   }
 
   Block decode_block(std::uint32_t target_word, std::uint32_t prev_word) {
     Block blk;
-    auto& st = result_.stats;
     const std::uint32_t b = config_.policy.words_per_block;
     const std::uint32_t offset = (target_word - text_base_word()) % b;
     blk.base_word = target_word - offset;
-    ++st.blocks_fetched;
 
     if (offset > 2) {
       blk.cause = ResetCause::kInvalidEntry;
@@ -134,17 +192,21 @@ class FunctionalMachine {
     const scheme::EntryPath path = scheme::entry_path(offset, b);
 
     std::vector<std::uint32_t> raw(b, 0);
-    for (const std::uint32_t j : path.sched)
-      raw[j] = fetch_fault_.apply(core_.mem().load32((blk.base_word + j) * 4));
-    st.fetch_words += path.sched.size();
+    for (const std::uint32_t j : path.sched) {
+      const std::uint32_t addr = (blk.base_word + j) * 4;
+      raw[j] = fetch_fault_.apply(core_.mem().load32(addr));
+      cached_lo_ = std::min(cached_lo_, addr);
+      cached_hi_ = std::max(cached_hi_, std::uint64_t{addr} + 4);
+    }
+    blk.fetch_words = static_cast<std::uint32_t>(path.sched.size());
 
     // ---- open the block through the protection scheme ----
     const std::uint32_t base_word = blk.base_word;
     const scheme::DeviceBlock dev = opener_->open(base_word, prev_word, path, raw);
-    st.ctr_ops += dev.decrypt_ops.size();
-    st.cbc_ops += dev.verify_ops.size();
-    st.mac_words += dev.header_words;
-    if (dev.performs_verify) ++st.mac_verifications;
+    blk.ctr_ops = static_cast<std::uint32_t>(dev.decrypt_ops.size());
+    blk.cbc_ops = static_cast<std::uint32_t>(dev.verify_ops.size());
+    blk.mac_words = static_cast<std::uint32_t>(dev.header_words);
+    blk.verifies = dev.performs_verify;
     blk.first_inst = dev.first_inst;
     blk.gate_indirect = dev.gate_indirect;
     blk.entry_label = dev.entry_label;
@@ -245,16 +307,16 @@ class FunctionalMachine {
     const StepOutcome out = core_.step(in, pc);
     switch (out.kind) {
       case StepOutcome::Kind::kNext:
-        // A store into the text section makes every cached decryption
-        // stale; the cycle machine refetches live and would see (and reset
-        // on) the modified ciphertext. Only mark the cache dirty here: the
-        // executing block is a reference into cache_, so the actual clear
-        // waits until the next enter_block().
+        // A store into the text section (or any word a cached block was
+        // fetched from) makes every cached decryption stale; the cycle
+        // machine refetches live and would see (and reset on) the modified
+        // ciphertext. Only mark the cache dirty here: the executing block
+        // is a reference into cache_, so the actual clear waits until the
+        // next enter_block().
         if (image_.sofia && isa::is_store(in.op)) {
           const std::uint32_t addr =
               core_.reg(in.ra) + static_cast<std::uint32_t>(in.imm);
-          if (addr + 4 > image_.text_base &&
-              addr < image_.text_base + image_.text_bytes())
+          if (std::uint64_t{addr} + 4 > cached_lo_ && addr < cached_hi_)
             text_dirty_ = true;
         }
         break;
@@ -281,8 +343,13 @@ class FunctionalMachine {
   /// The device side of config_.scheme (null for vanilla images).
   std::unique_ptr<scheme::Opener> opener_;
   std::unordered_map<std::uint64_t, Block> cache_;
-  Block scratch_;  ///< fault-injection runs bypass the cache
-  bool text_dirty_ = false;  ///< store hit text; clear cache_ between blocks
+  Block scratch_;  ///< the open that took the armed flip (never cached)
+  Block* last_ = nullptr;  ///< the cached block entered last (null: none)
+  /// Byte range a store must miss to leave cache_ valid: the text section
+  /// widened to every word a block open has fetched since the last clear.
+  std::uint32_t cached_lo_ = image_.text_base;
+  std::uint64_t cached_hi_ = std::uint64_t{image_.text_base} + image_.text_bytes();
+  bool text_dirty_ = false;  ///< store hit cached text; clear cache_ between blocks
   bool done_ = false;
 };
 

@@ -8,20 +8,27 @@
 // cipher-engine scheduling, no store gate. Control flow is purely
 // architectural (no fall-through speculation), and blocks that verified
 // once are cached by (entry word, prevPC) so loop bodies decrypt and MAC
-// exactly once. Instructions run through the shared SR32 step and blocks
-// through the shared per-word check (sim/core.hpp), the same code the
-// cycle machine uses.
+// exactly once; each cached block links to its last successor, so a
+// steady-state loop skips the cache lookup too. Instructions run through
+// the shared SR32 step and blocks through the shared per-word check
+// (sim/core.hpp), the same code the cycle machine uses.
 //
 // Consequences, documented as contract:
 //  * stats.cycles is the retired instruction count (capabilities()
 //    advertises cycle_accurate = false); SimConfig::max_cycles bounds it.
-//  * stats counts only architecturally demanded work: ctr/cbc ops and
-//    verifications for blocks actually entered, once per distinct
-//    (entry, prevPC) pair — a lower bound on what the device performs.
+//  * Without an armed fault, stats counts only architecturally demanded
+//    work: ctr/cbc ops and verifications for blocks actually entered, once
+//    per distinct (entry, prevPC) pair — a lower bound on what the device
+//    performs.
 //  * Fault injection (SimConfig::fault) flips the N-th word this backend
-//    fetches; the block cache is bypassed while a fault is armed so every
-//    block entry refetches.
-//  * Stores into the text section invalidate the block cache, so
+//    fetches, counting every block entry's words as if it refetched them.
+//    A cached block is reused whenever the armed flip cannot land in the
+//    words it fetches (the fetch counter advances past them); the one
+//    block whose fetch takes the flip is opened fresh and never cached.
+//    While a fault is armed every entry also counts the work of an open,
+//    so stats and verdicts equal those of a run that refetches each block.
+//  * Stores into the text section (or any word a block was fetched from)
+//    invalidate the block cache and its successor links, so
 //    self-modifying (i.e. self-tampering) code still resets exactly like
 //    the live-fetching cycle machine.
 #pragma once

@@ -220,15 +220,20 @@ TEST(BackendCrossValidation, SelfModifyingStoreToTextResetsUnderBothBackends) {
   // fetches every word live from memory and reuses an earlier open only
   // when the fetched words match it, so the flipped word must miss its
   // opened-block memo and reset on the bad MAC. The functional backend must
-  // invalidate its decoded-block cache on the store-to-text and reset
-  // identically — and must keep executing the in-flight block safely until
-  // then (this test runs under the ASan CI job precisely to police that
-  // invalidation path).
+  // invalidate its decoded-block cache (and the successor links between
+  // cached blocks) on the store-to-text and reset identically — and must
+  // keep executing the in-flight block safely until then (this test runs
+  // under the ASan CI job precisely to police that invalidation path).
   // Pass 0 calls victim cleanly (both backends keep the verified block
   // under this exact (entry, prevPC) pair), then flips one ciphertext bit
   // inside victim and loops to the very same call site. A stale hit would
   // sail through to the halt at `missed`; a correct re-open resets on the
   // bad MAC.
+  // Each image runs unarmed and with a fetch fault armed past the end of
+  // the run (it never fires, but the functional backend then counts every
+  // reuse as a refetch). The second image holds the same sealed code in
+  // its data section and no text, so the store misses the text section
+  // but still hits fetched code.
   const char* source = R"(
 main:
   li r5, 0
@@ -247,17 +252,36 @@ victim:
   ret
 )";
   auto cyc_session = Pipeline::from_source(source);
-  const auto& cyc = cyc_session.run();
   auto fn_session = Pipeline::from_source(source, functional_profile());
-  const auto& fn = fn_session.run();
-  ASSERT_EQ(cyc.status, sim::RunResult::Status::kReset);
-  ASSERT_EQ(fn.status, sim::RunResult::Status::kReset);
-  EXPECT_EQ(cyc.reset.cause, sim::ResetCause::kMacMismatch);
-  EXPECT_EQ(fn.reset.cause, cyc.reset.cause);
-  EXPECT_EQ(fn.reset.pc, cyc.reset.pc);
-  // Every instruction before the tampering transfer still committed.
-  EXPECT_EQ(fn.stats.insts, cyc.stats.insts);
-  EXPECT_EQ(fn.stats.stores, cyc.stats.stores);
+  const auto& in_text = cyc_session.image();
+  ASSERT_TRUE(in_text.data.empty());
+  auto in_data = in_text;
+  in_data.data_base = in_text.text_base;
+  for (const std::uint32_t word : in_text.text)
+    for (unsigned byte = 0; byte < 4; ++byte)
+      in_data.data.push_back(static_cast<std::uint8_t>(word >> (8 * byte)));
+  in_data.text.clear();
+
+  for (const bool code_in_data : {false, true}) {
+    for (const bool armed : {false, true}) {
+      SCOPED_TRACE(std::string(code_in_data ? "data" : "text") +
+                   (armed ? ", armed" : ", unarmed"));
+      const auto& image = code_in_data ? in_data : in_text;
+      sim::SimConfig config;
+      config.fault.enabled = armed;
+      config.fault.fetch_index = 1ull << 40;
+      const auto cyc = cyc_session.run_image(image, config);
+      const auto fn = fn_session.run_image(image, config);
+      ASSERT_EQ(cyc.status, sim::RunResult::Status::kReset);
+      EXPECT_EQ(cyc.reset.cause, sim::ResetCause::kMacMismatch);
+      EXPECT_EQ(fn.status, sim::RunResult::Status::kReset);
+      EXPECT_EQ(fn.reset.cause, cyc.reset.cause);
+      EXPECT_EQ(fn.reset.pc, cyc.reset.pc);
+      // Every instruction before the tampering transfer still committed.
+      EXPECT_EQ(fn.stats.insts, cyc.stats.insts);
+      EXPECT_EQ(fn.stats.stores, cyc.stats.stores);
+    }
+  }
 }
 
 TEST(BackendCrossValidation, KeyMismatchResetsUnderBothBackends) {

@@ -10,6 +10,7 @@
 #include "campaign/campaign.hpp"
 #include "pipeline/pipeline.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 
 namespace {
@@ -502,6 +503,17 @@ TEST(CampaignJson, ShardMergeIsByteIdenticalToUnsharded) {
   // Merge accepts the shards in any order.
   EXPECT_EQ(campaign::merge_json({s0, s1, s2}), whole);
   EXPECT_EQ(campaign::merge_json({s2, s0, s1}), whole);
+}
+
+TEST(CampaignJson, SmokeDocumentIsPinned) {
+  // The default smoke campaign (1000 trials per cell, functional backend),
+  // as `sofia_attack --campaign --smoke --json` writes it. Every verdict,
+  // latency and minimized record is in the document, so a backend change
+  // that moves any of them fails here, not only in the benchmark.
+  const auto doc = campaign::to_json(
+      campaign::run_campaign(campaign::smoke(campaign::default_campaign()), 4));
+  EXPECT_EQ(support::sha256_hex(doc),
+            "d1fc615f580d5fe63948a7d6476d1ace6677a1e3650b80548698da1ccd280546");
 }
 
 TEST(CampaignJson, MergeRejectsBadInputs) {

@@ -1,6 +1,6 @@
 // Microarchitectural behavior tests: trace facility, speculation squash,
 // store gating, engine policies, fetch-width configs, fault injection, the
-// opened-block memo and the pinned work counters of the cycle backend.
+// opened-block memo and the pinned work counters of both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 
 #include "pipeline/pipeline.hpp"
 #include "scheme/scheme.hpp"
+#include "sim/backend.hpp"
 #include "sim/cipher_engine.hpp"
 #include "sim/fetch.hpp"
 #include "sim_test_util.hpp"
@@ -364,31 +365,40 @@ TEST(Fault, FaultOnStoredMacWordDetected) {
 
 TEST(Fault, FaultOnAWarmRevisitStillResets) {
   // `j main` re-enters one block for the whole run. After its first two
-  // visits (the reset entry and the first back edge) every visit reuses the
-  // opened-block memo; a fault armed far past them lands on such a warm
-  // revisit and must miss the memo on the flipped word and reset at that
-  // block, exactly like a fault on the very first fetch.
+  // visits (the reset entry and the first back edge) every visit reuses
+  // what the backend opened before (the cycle machine's opened-block memo,
+  // the functional backend's block cache); a fault armed far past them
+  // lands on such a warm revisit and must miss the reuse on the flipped
+  // word and reset at that block, exactly like a fault on the very first
+  // fetch.
   const auto keys = test_keys();
   const auto result = transform_source("main:\n j main\n", keys);
-  auto cfg = sofia_config(keys);
-  cfg.max_cycles = 3000;
-  const auto clean = run_image(result.image, cfg);
-  ASSERT_EQ(clean.status, RunResult::Status::kMaxCycles);
-  const std::uint64_t warm_index = 10ull * cfg.policy.words_per_block;
-  ASSERT_GT(clean.stats.blocks_fetched, 20u);  // the run fetches past it
+  for (const char* backend : {"cycle", "functional"}) {
+    SCOPED_TRACE(backend);
+    const auto be = make_backend(backend);
+    auto cfg = sofia_config(keys);
+    cfg.max_cycles = 3000;
+    cfg.fault.enabled = true;
+    cfg.fault.bit = 5;
+    // Armed past the end: the run fetches every word and counts each visit.
+    cfg.fault.fetch_index = 1ull << 40;
+    const auto clean = be->run(result.image, cfg);
+    ASSERT_EQ(clean.status, RunResult::Status::kMaxCycles);
+    const std::uint64_t warm_index = 10ull * cfg.policy.words_per_block;
+    ASSERT_GT(clean.stats.blocks_fetched, 20u);  // the run fetches past it
+    ASSERT_GT(clean.stats.fetch_words, warm_index);
 
-  cfg.fault.enabled = true;
-  cfg.fault.bit = 5;
-  cfg.fault.fetch_index = 0;
-  const auto cold = run_image(result.image, cfg);
-  cfg.fault.fetch_index = warm_index;
-  const auto warm = run_image(result.image, cfg);
-  for (const auto* run : {&cold, &warm}) {
-    EXPECT_EQ(run->status, RunResult::Status::kReset);
-    EXPECT_EQ(run->reset.cause, ResetCause::kMacMismatch);
+    cfg.fault.fetch_index = 0;
+    const auto cold = be->run(result.image, cfg);
+    cfg.fault.fetch_index = warm_index;
+    const auto warm = be->run(result.image, cfg);
+    for (const auto* run : {&cold, &warm}) {
+      EXPECT_EQ(run->status, RunResult::Status::kReset);
+      EXPECT_EQ(run->reset.cause, ResetCause::kMacMismatch);
+    }
+    EXPECT_EQ(warm.reset.pc, cold.reset.pc);
+    EXPECT_GT(warm.reset.cycle, cold.reset.cycle);
   }
-  EXPECT_EQ(warm.reset.pc, cold.reset.pc);
-  EXPECT_GT(warm.reset.cycle, cold.reset.cycle);
 }
 
 // ---------------------------------------------------------------------------
@@ -472,9 +482,18 @@ void render_run(const RunResult& r, std::string& out) {
   out += "\n";
 }
 
+/// The clean run of a session's image and of its vanilla baseline.
+void render_clean_runs(pipeline::Pipeline& p, std::string& out) {
+  render_run(p.run(), out);
+  render_run(p.run_vanilla(), out);
+}
+
 /// Every counter `backend` reports, for every workload x scheme x cipher at
-/// a small size (plus the vanilla baseline), rendered as one document.
-std::string render_all_runs(const std::string& backend) {
+/// a small size, rendered as one document by `render` (by default the
+/// clean run plus the vanilla baseline).
+std::string render_all_runs(
+    const std::string& backend,
+    void (*render)(pipeline::Pipeline&, std::string&) = render_clean_runs) {
   std::string rendered;
   for (const auto& spec : workloads::all_workloads()) {
     const std::uint32_t size = std::max<std::uint32_t>(8, spec.default_size / 8);
@@ -486,12 +505,29 @@ std::string render_all_runs(const std::string& backend) {
         profile.backend = backend;
         auto p = pipeline::Pipeline::from_workload(spec.name, 1, size, profile);
         rendered += spec.name + " " + scheme + " " + std::string(crypto::to_string(ck)) + "\n";
-        render_run(p.run(), rendered);
-        render_run(p.run_vanilla(), rendered);
+        render(p, rendered);
       }
     }
   }
   return rendered;
+}
+
+/// The session's image under a fetch fault armed at the first fetched
+/// word, inside the entry block, halfway through the run (a warm revisit
+/// of some block on every looping workload) and just past the last fetch.
+/// The budget is twice the clean run, so a fault that derails a `null`
+/// image into a loop still ends quickly.
+void render_fault_armed_runs(pipeline::Pipeline& p, std::string& out) {
+  sim::SimConfig cfg;
+  cfg.max_cycles = 2 * p.run().stats.insts + 1000;
+  cfg.fault.enabled = true;
+  cfg.fault.bit = 5;
+  cfg.fault.fetch_index = 1ull << 40;
+  const std::uint64_t fetched = p.run_image(p.image(), cfg).stats.fetch_words;
+  for (const std::uint64_t index : {std::uint64_t{0}, std::uint64_t{2}, fetched / 2, fetched}) {
+    cfg.fault.fetch_index = index;
+    render_run(p.run_image(p.image(), cfg), out);
+  }
 }
 
 TEST(WorkCounters, CycleBackendCountersArePinned) {
@@ -509,6 +545,15 @@ TEST(WorkCounters, FunctionalBackendCountersArePinned) {
   // work and every architectural counter.
   EXPECT_EQ(support::sha256_hex(render_all_runs("functional")),
             "56467927f6375466b39850c363e58a9f0ea7d65ea07ab73fad704b140b59ec7f");
+}
+
+TEST(WorkCounters, FaultArmedFunctionalCountersArePinned) {
+  // With a fault armed the functional backend still reuses cached blocks
+  // the flip cannot reach, but counts every block entry as a fresh open
+  // would: these counters (and every verdict) match a backend that
+  // refetches every block while a fault is armed.
+  EXPECT_EQ(support::sha256_hex(render_all_runs("functional", render_fault_armed_runs)),
+            "0622ca33961a399b869ecebc8a7c39702c83fcdfcfc49d7e6a16d537779b3843");
 }
 
 TEST(MaxCycles, SofiaInfiniteLoopBounded) {
