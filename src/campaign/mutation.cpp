@@ -47,30 +47,38 @@ MutationKind parse_mutation_kind(std::string_view name) {
 
 std::string Mutation::describe() const {
   std::string out(to_string(kind));
+  // Each operand is appended after its prefix, in place.
+  const auto operand = [&out](const char* prefix, std::uint64_t value) {
+    out += prefix;
+    out += std::to_string(value);
+  };
   switch (kind) {
     case MutationKind::kBitFlip:
-      out += " w" + std::to_string(a) + " b" + std::to_string(b);
+      operand(" w", a);
+      operand(" b", b);
       break;
     case MutationKind::kWordPatch:
-      out += " w" + std::to_string(a);
+      operand(" w", a);
       break;
     case MutationKind::kWordRelocate:
-      out += " " + std::to_string(a) + "->" + std::to_string(b);
-      break;
     case MutationKind::kBlockSplice:
-      out += " " + std::to_string(a) + "->" + std::to_string(b);
+      operand(" ", a);
+      operand("->", b);
       break;
     case MutationKind::kHeaderForge:
-      out += " blk" + std::to_string(a) + " h" + std::to_string(b);
+      operand(" blk", a);
+      operand(" h", b);
       break;
     case MutationKind::kCrossVersionSplice:
-      out += " blk" + std::to_string(a);
+      operand(" blk", a);
       break;
     case MutationKind::kFetchFault:
-      out += " fetch" + std::to_string(a) + " b" + std::to_string(b);
+      operand(" fetch", a);
+      operand(" b", b);
       break;
     case MutationKind::kRetargetIndirect:
-      out += " d" + std::to_string(a) + " ->" + std::to_string(b);
+      operand(" d", a);
+      operand(" ->", b);
       break;
   }
   return out;

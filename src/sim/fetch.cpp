@@ -64,10 +64,9 @@ void VanillaFetch::redirect(std::uint32_t target, std::uint32_t /*from_pc*/,
 // OpenedBlockMemo
 // ---------------------------------------------------------------------------
 
-const scheme::DeviceBlock& OpenedBlockMemo::open(std::uint32_t base_word,
-                                                 std::uint32_t prev_word,
-                                                 const scheme::EntryPath& path,
-                                                 const std::vector<std::uint32_t>& raw) {
+const OpenedBlockMemo::Opened& OpenedBlockMemo::open(
+    std::uint32_t base_word, std::uint32_t prev_word, const scheme::EntryPath& path,
+    const std::vector<std::uint32_t>& raw) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(base_word + path.offset) << 32) | prev_word;
   const auto [it, fresh] = entries_.try_emplace(key);
@@ -77,9 +76,15 @@ const scheme::DeviceBlock& OpenedBlockMemo::open(std::uint32_t base_word,
     return entry.block;
   }
   ++misses_;
-  entry.block = opener_->open(base_word, prev_word, path, raw);
+  Opened& block = entry.block;
+  block = Opened{opener_->open(base_word, prev_word, path, raw), {}, std::nullopt};
+  block.violation = check_block(
+      block.plain, block.first_inst, policy_,
+      [&](std::uint32_t /*word*/, const isa::Instruction& inst) {
+        block.insts.push_back(inst);
+      });
   entry.raw = raw;
-  return entry.block;
+  return block;
 }
 
 // ---------------------------------------------------------------------------
@@ -97,7 +102,15 @@ SofiaFetch::SofiaFetch(const Memory& mem, ICache& icache, CipherEngine& engine,
       opener_(scheme::get_scheme(config.scheme)
                   .make_opener(config.keys, image.omega,
                                image.per_pair ? crypto::Granularity::kPerPair
-                                              : crypto::Granularity::kPerWord)) {
+                                              : crypto::Granularity::kPerWord),
+              config.policy) {
+  const std::uint32_t b = config.policy.words_per_block;
+  for (std::uint32_t offset = 0; offset < std::min<std::uint32_t>(3, b); ++offset)
+    paths_[offset] = scheme::entry_path(offset, b);
+  fetch_done_.resize(b);
+  raw_.resize(b);
+  ks_done_.resize(b);
+  decrypt_done_.resize(b);
   process_block(image.entry / 4, image.entry_prev, 0);
 }
 
@@ -156,15 +169,16 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     reset_ = ResetEvent{ResetCause::kInvalidEntry, entry_cycle, target_word * 4};
     return;
   }
-  const scheme::EntryPath path = scheme::entry_path(offset, b);
+  const scheme::EntryPath& path = paths_[offset];
+  std::fill(fetch_done_.begin(), fetch_done_.end(), 0);
+  std::fill(raw_.begin(), raw_.end(), 0);
+  std::fill(ks_done_.begin(), ks_done_.end(), 0);
 
   // ---- fetch words through the I-cache ----
   // The SOFIA datapath reads fetch_words_per_cycle words per cycle (the
   // 64-bit cipher block suggests 2); misses stall for the refill.
   const std::uint32_t per_cycle = std::max(1u, config_.fetch_words_per_cycle);
   std::uint64_t cursor = entry_cycle;
-  std::vector<std::uint64_t> fetch_done(b, 0);
-  std::vector<std::uint32_t> raw(b, 0);
   std::uint32_t in_cycle = 0;
   for (const std::uint32_t j : path.sched) {
     const std::uint32_t addr = (base_word + j) * 4;
@@ -178,36 +192,36 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     } else {
       ++in_cycle;
     }
-    fetch_done[j] = cursor;
-    raw[j] = fault_.apply(mem_.load32(addr));
+    fetch_done_[j] = cursor;
+    raw_[j] = fault_.apply(mem_.load32(addr));
   }
 
   // ---- open the block through the protection scheme ----
-  // A re-entry whose fetched words match an earlier open reuses it.
-  const scheme::DeviceBlock& dev = opener_.open(base_word, prev_word, path, raw);
+  // A re-entry whose fetched words match an earlier open reuses it, and
+  // its decode with it.
+  const OpenedBlockMemo::Opened& dev = opener_.open(base_word, prev_word, path, raw_);
 
   // ---- replay the decrypt ops on the shared engine ----
   // Eager-issue schemes (address-only counters) start every op at block
   // entry; a serial chain additionally waits for the previous op and for
   // the span's fetched ciphertext.
-  std::vector<std::uint64_t> ks_done(b, 0);
   std::uint64_t prev_op_done = 0;
   for (const auto& op : dev.decrypt_ops) {
     std::uint64_t issue = entry_cycle;
     if (dev.serial_decrypt) {
       issue = std::max(issue, prev_op_done);
       for (std::uint32_t k = 0; k < op.count; ++k)
-        issue = std::max(issue, fetch_done[op.first + k]);
+        issue = std::max(issue, fetch_done_[op.first + k]);
     }
     prev_op_done = engine_.schedule(CipherEngine::Op::kCtr, issue);
     ++ctr_ops;
     for (std::uint32_t k = 0; k < op.count; ++k)
-      ks_done[op.first + k] = prev_op_done;
+      ks_done_[op.first + k] = prev_op_done;
   }
 
-  std::vector<std::uint64_t> decrypt_done(b, 0);
+  std::fill(decrypt_done_.begin(), decrypt_done_.end(), 0);
   for (const std::uint32_t j : path.sched)
-    decrypt_done[j] = std::max(fetch_done[j], ks_done[j]);
+    decrypt_done_[j] = std::max(fetch_done_[j], ks_done_[j]);
 
   mac_words_seen += dev.header_words;
 
@@ -216,16 +230,16 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
   for (const auto& op : dev.verify_ops) {
     std::uint64_t in_ready = chain_ready;
     for (std::uint32_t k = 0; k < op.count; ++k)
-      in_ready = std::max(in_ready, decrypt_done[op.first + k]);
+      in_ready = std::max(in_ready, decrypt_done_[op.first + k]);
     chain_ready = engine_.schedule(CipherEngine::Op::kCbc, in_ready);
     ++cbc_ops;
   }
   for (const std::uint32_t w : dev.verify_extra_words)
-    chain_ready = std::max(chain_ready, decrypt_done[w]);
+    chain_ready = std::max(chain_ready, decrypt_done_[w]);
   const std::uint64_t verify_cycle = chain_ready + 1;
   if (dev.performs_verify) ++verifications;
 
-  // ---- decode, check placement rules, stage deliveries ----
+  // ---- check placement rules, stage deliveries ----
   if (dev.verify_cause != ResetCause::kNone) {
     // The scheme's verification failed: tampered instructions or tampered
     // control flow. Reset fires when the comparison completes; nothing
@@ -250,19 +264,21 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
       dev.performs_verify && verify_cycle > config_.store_gate_headstart
           ? verify_cycle - config_.store_gate_headstart
           : 0;
-  const auto violation = check_block(
-      dev.plain, dev.first_inst, config_.policy,
-      [&](std::uint32_t w, const isa::Instruction& inst) {
-        FetchedInst fi;
-        fi.inst = inst;
-        fi.pc = (base_word + w) * 4;
-        fi.ready = decrypt_done[w] + 1;
-        fi.store_gate = gate;
-        staged_.push_back(fi);
-      });
-  if (violation) {
-    reset_ = ResetEvent{violation->cause, decrypt_done[violation->word] + 1,
-                        (base_word + violation->word) * 4};
+  // The memo decoded the block once; every entry stages the accepted
+  // words with this entry's decrypt timing, then hits any violation.
+  for (std::uint32_t i = 0; i < dev.insts.size(); ++i) {
+    const std::uint32_t w = dev.first_inst + i;
+    FetchedInst fi;
+    fi.inst = dev.insts[i];
+    fi.pc = (base_word + w) * 4;
+    fi.ready = decrypt_done_[w] + 1;
+    fi.store_gate = gate;
+    staged_.push_back(fi);
+  }
+  if (dev.violation) {
+    const PlacementViolation& violation = *dev.violation;
+    reset_ = ResetEvent{violation.cause, decrypt_done_[violation.word] + 1,
+                        (base_word + violation.word) * 4};
     return;
   }
 
@@ -273,7 +289,7 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
   // followed at decode time (the target and the prevPC are both known).
   // Only indirect exits (jalr/ret) and halt make fetch wait.
   const isa::Opcode exit_op = staged_.back().inst.op;
-  const std::uint64_t exit_decoded = decrypt_done[b - 1] + 1;
+  const std::uint64_t exit_decoded = decrypt_done_[b - 1] + 1;
   if (exit_op == isa::Opcode::kJal) {
     staged_.back().fetch_redirected = true;
     const std::uint32_t target =

@@ -19,6 +19,7 @@
 // too.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -35,6 +36,7 @@
 #include "sim/core.hpp"
 #include "sim/icache.hpp"
 #include "sim/memory.hpp"
+#include "xform/block_policy.hpp"
 
 namespace sofia::sim {
 
@@ -102,24 +104,43 @@ class VanillaFetch final : public FetchUnit {
   std::optional<ResetEvent> reset_;
 };
 
-/// Opener::open, memoized for one run. An open is a pure function of
-/// (base, prevPC, entry path, raw words, session keys): the keys are fixed
-/// per opener and the path follows from the target's entry offset, so an
-/// entry keyed on (target word, prev word) and validated against the raw
-/// words it was opened from is exactly what a fresh open would return. Any
+/// Opener::open and the block's decode, memoized for one run. An open is a
+/// pure function of (base, prevPC, entry path, raw words, session keys):
+/// the keys are fixed per opener and the path follows from the target's
+/// entry offset, so an entry keyed on (target word, prev word) and
+/// validated against the raw words it was opened from is exactly what a
+/// fresh open would return. The entry also keeps check_block's result over
+/// the opened plaintext (a pure function of that plaintext and the run's
+/// fixed BlockPolicy): the decoded instructions and the placement
+/// violation, if any, so a hit neither re-opens nor re-decodes. Any
 /// differing word (a store into text, an armed fetch fault) misses and
-/// re-opens, replacing the entry; no invalidation hook is needed. Only the
-/// host's recomputation is saved: the caller still replays the returned op
-/// lists, so the modelled device does the same work on every entry.
+/// re-opens and re-decodes, replacing the entry; no invalidation hook is
+/// needed. Only the host's recomputation is saved: the caller still replays
+/// the returned op lists and stages every instruction with its own timing,
+/// so the modelled device does the same work on every entry.
 class OpenedBlockMemo {
  public:
-  explicit OpenedBlockMemo(std::unique_ptr<scheme::Opener> opener)
-      : opener_(std::move(opener)) {}
+  /// An opened block plus check_block's verdict on its plaintext under the
+  /// memo's policy. check_block accepts a contiguous run of words, so
+  /// insts[i] is block word first_inst + i; `violation`, when set, names
+  /// the word that stopped the walk (it lies right after the accepted
+  /// ones).
+  struct Opened : scheme::DeviceBlock {
+    std::vector<isa::Instruction> insts;
+    std::optional<PlacementViolation> violation;
+  };
 
-  /// Opener::open's contract. The reference stays valid until the next call.
-  const scheme::DeviceBlock& open(std::uint32_t base_word, std::uint32_t prev_word,
-                                  const scheme::EntryPath& path,
-                                  const std::vector<std::uint32_t>& raw);
+  /// `policy` is the run's block geometry (default: the paper's, as in
+  /// SimConfig).
+  explicit OpenedBlockMemo(std::unique_ptr<scheme::Opener> opener,
+                           const xform::BlockPolicy& policy = {})
+      : opener_(std::move(opener)), policy_(policy) {}
+
+  /// Opener::open's contract, plus the decode. The reference stays valid
+  /// until the next call.
+  const Opened& open(std::uint32_t base_word, std::uint32_t prev_word,
+                     const scheme::EntryPath& path,
+                     const std::vector<std::uint32_t>& raw);
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -127,9 +148,10 @@ class OpenedBlockMemo {
  private:
   struct Entry {
     std::vector<std::uint32_t> raw;  ///< the words the block was opened from
-    scheme::DeviceBlock block;
+    Opened block;
   };
   std::unique_ptr<scheme::Opener> opener_;
+  xform::BlockPolicy policy_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -162,6 +184,16 @@ class SofiaFetch final : public FetchUnit {
   /// The device side of config_.scheme, keyed with config_.keys and the
   /// image's omega/granularity, memoized for this run.
   OpenedBlockMemo opener_;
+  /// The fetch schedule of each valid entry offset (0, 1, 2).
+  std::array<scheme::EntryPath, 3> paths_;
+  /// Per-block scratch, b words each, indexed by block word: the cycle
+  /// each word is fetched, the raw fetched words (zero where the path
+  /// skips a word), and when each word's keystream and plaintext are
+  /// ready.
+  std::vector<std::uint64_t> fetch_done_;
+  std::vector<std::uint32_t> raw_;
+  std::vector<std::uint64_t> ks_done_;
+  std::vector<std::uint64_t> decrypt_done_;
 
   std::deque<FetchedInst> staged_;  ///< decoded, time-stamped deliveries
   bool waiting_ = false;            ///< stopped at an indirect exit / halt

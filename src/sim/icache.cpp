@@ -16,17 +16,4 @@ ICache::ICache(const CacheConfig& config) : miss_penalty_(config.miss_penalty) {
   tags_.assign(num_lines_, 0);
 }
 
-std::uint32_t ICache::access(std::uint32_t addr) {
-  const std::uint32_t line_addr = addr >> line_bits_;
-  const std::uint32_t index = line_addr & (num_lines_ - 1);
-  const std::uint64_t tag = static_cast<std::uint64_t>(line_addr) + 1;
-  if (tags_[index] == tag) {
-    ++hits_;
-    return 1;
-  }
-  ++misses_;
-  tags_[index] = tag;
-  return miss_penalty_;
-}
-
 }  // namespace sofia::sim

@@ -1,56 +1,49 @@
 #include "sim/memory.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace sofia::sim {
 
-const std::uint8_t* Memory::page_for_read(std::uint32_t addr) const {
-  const auto it = pages_.find(addr >> kPageBits);
-  return it == pages_.end() ? nullptr : it->second.get();
-}
-
-std::uint8_t* Memory::page_for_write(std::uint32_t addr) {
-  auto& page = pages_[addr >> kPageBits];
-  if (!page) {
-    page = std::make_unique<std::uint8_t[]>(kPageSize);
-    std::memset(page.get(), 0, kPageSize);
-  }
+std::uint8_t* Memory::allocate_page(std::uint32_t addr) {
+  auto& table = dir_[addr >> kDirShift];
+  if (!table) table = std::make_unique<Table>();
+  auto& page = table->pages[(addr >> kPageBits) & (kTableSize - 1)];
+  if (!page) page = std::make_unique<std::uint8_t[]>(kPageSize);  // zeroed
   return page.get();
 }
 
-std::uint8_t Memory::load8(std::uint32_t addr) const {
-  const std::uint8_t* page = page_for_read(addr);
-  return page ? page[addr & (kPageSize - 1)] : 0;
+std::uint32_t Memory::load_straddling(std::uint32_t addr, std::size_t size) const {
+  std::uint32_t value = 0;
+  for (std::size_t i = 0; i < size; ++i)
+    value |= static_cast<std::uint32_t>(load8(addr + static_cast<std::uint32_t>(i)))
+             << (8 * i);
+  return value;
 }
 
-std::uint16_t Memory::load16(std::uint32_t addr) const {
-  return static_cast<std::uint16_t>(load8(addr) | (load8(addr + 1) << 8));
+void Memory::store_straddling(std::uint32_t addr, std::uint32_t value,
+                              std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i)
+    store8(addr + static_cast<std::uint32_t>(i),
+           static_cast<std::uint8_t>(value >> (8 * i)));
 }
 
-std::uint32_t Memory::load32(std::uint32_t addr) const {
-  return static_cast<std::uint32_t>(load16(addr)) |
-         (static_cast<std::uint32_t>(load16(addr + 2)) << 16);
-}
-
-void Memory::store8(std::uint32_t addr, std::uint8_t value) {
-  page_for_write(addr)[addr & (kPageSize - 1)] = value;
-}
-
-void Memory::store16(std::uint32_t addr, std::uint16_t value) {
-  store8(addr, static_cast<std::uint8_t>(value));
-  store8(addr + 1, static_cast<std::uint8_t>(value >> 8));
-}
-
-void Memory::store32(std::uint32_t addr, std::uint32_t value) {
-  store16(addr, static_cast<std::uint16_t>(value));
-  store16(addr + 2, static_cast<std::uint16_t>(value >> 16));
+void Memory::store_bytes(std::uint32_t addr, const std::uint8_t* bytes,
+                         std::size_t size) {
+  while (size > 0) {
+    const std::size_t chunk =
+        std::min<std::size_t>(size, kPageSize - (addr & kOffsetMask));
+    std::memcpy(page_for_write(addr) + (addr & kOffsetMask), bytes, chunk);
+    addr += static_cast<std::uint32_t>(chunk);  // wraps like the byte path
+    bytes += chunk;
+    size -= chunk;
+  }
 }
 
 void Memory::load_image(const assembler::LoadImage& image) {
-  for (std::size_t i = 0; i < image.text.size(); ++i)
-    store32(image.text_base + static_cast<std::uint32_t>(i * 4), image.text[i]);
-  for (std::size_t i = 0; i < image.data.size(); ++i)
-    store8(image.data_base + static_cast<std::uint32_t>(i), image.data[i]);
+  store_bytes(image.text_base,
+              reinterpret_cast<const std::uint8_t*>(image.text.data()),
+              image.text.size() * sizeof(std::uint32_t));
+  store_bytes(image.data_base, image.data.data(), image.data.size());
 }
 
 }  // namespace sofia::sim

@@ -21,6 +21,15 @@ using campaign::MutationKind;
 using campaign::MutationRecord;
 using campaign::TrialClass;
 
+/// A victim of `text_words` text words in 8-word blocks, no indirect
+/// dispatch.
+campaign::ImageGeometry geometry(std::uint32_t text_words) {
+  campaign::ImageGeometry g;
+  g.text_words = text_words;
+  g.words_per_block = 8;
+  return g;
+}
+
 // ---- mutation vocabulary ---------------------------------------------------
 
 TEST(Mutation, CatalogMatchesEnum) {
@@ -49,7 +58,7 @@ TEST(Mutation, ResetCauseCountPinsSimEnum) {
 }
 
 TEST(Mutation, GenerationIsSeededAndBounded) {
-  const campaign::ImageGeometry g{.text_words = 96, .words_per_block = 8};
+  const campaign::ImageGeometry g = geometry(96);
   const Rng parent(7);
   for (std::uint64_t job = 0; job < 200; ++job) {
     Rng a = parent.fork(job);
@@ -94,7 +103,7 @@ TEST(Mutation, GenerationIsSeededAndBounded) {
 }
 
 TEST(Mutation, RetargetGenerationStaysOutsideTheProvedSets) {
-  campaign::ImageGeometry g{.text_words = 32, .words_per_block = 8};
+  campaign::ImageGeometry g = geometry(32);
   g.text_base = 0x1000;
   g.dispatch_slots = {0, 4, 12};
   g.indirect_targets = {0x1004, 0x1008, 0x1020};  // sorted byte addresses
@@ -118,7 +127,7 @@ TEST(Mutation, RetargetGenerationStaysOutsideTheProvedSets) {
 }
 
 TEST(Mutation, JsonRoundTrip) {
-  const campaign::ImageGeometry g{.text_words = 64, .words_per_block = 8};
+  const campaign::ImageGeometry g = geometry(64);
   Rng rng(3);
   for (int i = 0; i < 100; ++i) {
     const Mutation m = campaign::generate(rng, g);
@@ -333,7 +342,9 @@ TEST(Campaign, NullSchemeLeaksWithTriagedEscapes) {
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < cell.escapes.size(); ++i) {
     const auto& e = cell.escapes[i];
-    if (i > 0) EXPECT_GT(e.job, prev) << "escapes sorted by job index";
+    if (i > 0) {
+      EXPECT_GT(e.job, prev) << "escapes sorted by job index";
+    }
     prev = e.job;
     ASSERT_FALSE(e.applied.empty());
     ASSERT_FALSE(e.minimized.empty());
@@ -348,7 +359,9 @@ TEST(Campaign, NullSchemeLeaksWithTriagedEscapes) {
         std::any_of(e.applied.begin(), e.applied.end(), [](const Mutation& m) {
           return m.kind != MutationKind::kFetchFault;
         });
-    if (!image_tamper) EXPECT_TRUE(e.lint.empty());
+    if (!image_tamper) {
+      EXPECT_TRUE(e.lint.empty());
+    }
   }
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+
 #include "sim/cipher_engine.hpp"
 #include "sim/icache.hpp"
 #include "sim/machine.hpp"
 #include "sim/memory.hpp"
 #include "sim_test_util.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace sofia::sim {
 namespace {
@@ -48,6 +52,96 @@ TEST(Memory, LoadImagePlacesSections) {
   EXPECT_EQ(mem.load32(0), 0xAAAAAAAAu);
   EXPECT_EQ(mem.load32(4), 0xBBBBBBBBu);
   EXPECT_EQ(mem.load8(0x100002), 3u);
+}
+
+TEST(Memory, MatchesAByteMapReference) {
+  // A seeded mix of 8/16/32-bit accesses against a byte map composed
+  // little-endian with 32-bit wrap-around. The addresses favour page
+  // boundaries, the top of the address space and pages far apart (each in
+  // its own 4 MiB table region), and many reads land on untouched pages.
+  std::map<std::uint32_t, std::uint8_t> ref;
+  const auto ref_load = [&](std::uint32_t addr, unsigned size) {
+    std::uint32_t value = 0;
+    for (unsigned i = 0; i < size; ++i) {
+      const auto it = ref.find(addr + i);
+      if (it != ref.end()) value |= static_cast<std::uint32_t>(it->second) << (8 * i);
+    }
+    return value;
+  };
+  const std::uint32_t bases[] = {0x0, 0x1000, 0x100000, 0x1FF000, 0x3FF000,
+                                 0x400000, 0x7FFFF000, 0xFFFFF000};
+  Rng rng(2024);
+  Memory mem;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint32_t addr =
+        bases[rng.next_below(std::size(bases))] +
+        static_cast<std::uint32_t>(rng.next_below(4) == 0 ? rng.next_below(0x2000)
+                                                          : 0xFF8 + rng.next_below(16));
+    const unsigned size = 1u << rng.next_below(3);
+    if (rng.next_below(2) == 0) {
+      const auto value = static_cast<std::uint32_t>(rng.next_u32());
+      for (unsigned b = 0; b < size; ++b)
+        ref[addr + b] = static_cast<std::uint8_t>(value >> (8 * b));
+      if (size == 1) mem.store8(addr, static_cast<std::uint8_t>(value));
+      if (size == 2) mem.store16(addr, static_cast<std::uint16_t>(value));
+      if (size == 4) mem.store32(addr, value);
+    } else {
+      const std::uint32_t got = size == 1   ? mem.load8(addr)
+                                : size == 2 ? mem.load16(addr)
+                                            : mem.load32(addr);
+      ASSERT_EQ(got, ref_load(addr, size)) << "load" << 8 * size << " @" << addr;
+    }
+  }
+  // The top-of-space wrap: the last two bytes, then address 0 and 1.
+  mem.store32(0xFFFFFFFE, 0xA1B2C3D4);
+  EXPECT_EQ(mem.load16(0xFFFFFFFE), 0xC3D4u);
+  EXPECT_EQ(mem.load16(0), 0xA1B2u);
+  EXPECT_EQ(mem.load32(0xFFFFFFFE), 0xA1B2C3D4u);
+  EXPECT_EQ(mem.load32(0xFFFFFFFF), 0x00A1B2C3u | (std::uint32_t{mem.load8(2)} << 24));
+}
+
+TEST(Memory, UntouchedPagesReadZeroAtEveryWidth) {
+  // One written byte at 0x5000; every other byte reads zero, whether its
+  // page was touched, never touched, or lies in an untouched table region.
+  Memory mem;
+  mem.store8(0x5000, 0x7F);
+  struct Probe {
+    std::uint32_t addr, half, word;
+  };
+  for (const Probe& p : {Probe{0x4FFE, 0, 0x7F0000}, Probe{0x4FFF, 0x7F00, 0x7F00},
+                         Probe{0x5FFE, 0, 0}, Probe{0xFFFFFFFE, 0, 0},
+                         Probe{0x80000000, 0, 0}}) {
+    EXPECT_EQ(mem.load8(p.addr), 0u) << p.addr;
+    EXPECT_EQ(mem.load16(p.addr), p.half) << p.addr;
+    EXPECT_EQ(mem.load32(p.addr), p.word) << p.addr;
+  }
+}
+
+TEST(Memory, LoadImageSharesAPageBetweenTextAndData) {
+  // Data starts mid-word inside the text's last page: both land byte
+  // exact, data after text, and the rest of the page stays zero.
+  assembler::LoadImage img;
+  img.text_base = 0x2FF8;
+  img.text = {0x11111111, 0x22222222, 0x33333333, 0x44444444, 0x55555555};
+  img.data_base = 0x3009;
+  img.data = {0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5};
+  Memory mem;
+  mem.load_image(img);
+  EXPECT_EQ(mem.load32(0x2FF8), 0x11111111u);
+  EXPECT_EQ(mem.load32(0x2FFC), 0x22222222u);
+  EXPECT_EQ(mem.load32(0x3000), 0x33333333u);  // the copy crossed a page
+  EXPECT_EQ(mem.load32(0x3004), 0x44444444u);
+  EXPECT_EQ(mem.load32(0x3008), 0xA2A1A055u);  // data over the last word
+  EXPECT_EQ(mem.load32(0x300C), 0x00A5A4A3u);
+  EXPECT_EQ(mem.load8(0x300F), 0u);
+  EXPECT_EQ(mem.load32(0x2FF4), 0u);
+
+  // Overlapping sections: the data bytes win, exactly as a byte-wise copy.
+  img.data_base = 0x2FFA;
+  Memory over;
+  over.load_image(img);
+  EXPECT_EQ(over.load32(0x2FF8), 0xA1A01111u);
+  EXPECT_EQ(over.load32(0x2FFC), 0xA5A4A3A2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -556,6 +556,16 @@ TEST(WorkCounters, FaultArmedFunctionalCountersArePinned) {
             "0622ca33961a399b869ecebc8a7c39702c83fcdfcfc49d7e6a16d537779b3843");
 }
 
+TEST(WorkCounters, FaultArmedCycleCountersArePinned) {
+  // The cycle backend under the same armed faults: a flip inside a block
+  // the memo already opened changes its raw words, so the memo misses,
+  // re-opens, re-decodes and replaces the entry, and the restored words
+  // miss again on the next entry. Every verdict, reset cycle and counter
+  // must match a front end that opens and decodes every entry afresh.
+  EXPECT_EQ(support::sha256_hex(render_all_runs("cycle", render_fault_armed_runs)),
+            "093fffc9dc8d8712a848149aa355e55f25fc3a448f68b6d0e2120da819b08ccf");
+}
+
 TEST(MaxCycles, SofiaInfiniteLoopBounded) {
   const auto keys = test_keys();
   const auto result = transform_source("main:\n j main\n", keys);

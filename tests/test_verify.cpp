@@ -572,11 +572,12 @@ TEST(Differential, RuntimeBehaviorStaysWithinTheStaticProofs) {
           ASSERT_TRUE(lands_in(rec->declared))
               << label << ": runtime target block " << target_block
               << " outside the declared set of jalr @" << word_addr;
-          if (rec->proven_finite)
+          if (rec->proven_finite) {
             ASSERT_TRUE(lands_in(rec->proven))
                 << label << ": runtime target block " << target_block
                 << " outside the PROVEN set of jalr @" << word_addr
                 << " — the dataflow engine is unsound";
+          }
         }
       }
     }

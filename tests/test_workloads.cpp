@@ -5,6 +5,8 @@
 // core) is transparent to real programs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim_test_util.hpp"
 #include "support/error.hpp"
 #include "workloads/workloads.hpp"
@@ -17,6 +19,12 @@ struct Case {
   std::uint64_t seed;
   std::uint32_t size;  ///< 0 = use a reduced default
 };
+
+/// The case's test-name suffix, e.g. "fib_s0_n6".
+std::string case_name(const Case& c) {
+  return std::string(c.name) + "_s" + std::to_string(c.seed) + "_n" +
+         std::to_string(c.size);
+}
 
 std::uint32_t test_size(const WorkloadSpec& spec, std::uint32_t requested) {
   if (requested != 0) return requested;
@@ -57,11 +65,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"minivm", 1, 0}, Case{"minivm", 5, 96},
                       Case{"bitcount", 1, 0}, Case{"bitcount", 2, 32},
                       Case{"dijkstra", 1, 0}, Case{"dijkstra", 3, 12}),
-    [](const auto& info) {
-      return std::string(info.param.name) + "_s" +
-             std::to_string(info.param.seed) + "_n" +
-             std::to_string(info.param.size);
-    });
+    [](const auto& info) { return case_name(info.param); });
 
 TEST(Workloads, RegistryComplete) {
   EXPECT_EQ(all_workloads().size(), 11u);
