@@ -98,20 +98,12 @@ struct Header {
 std::string parse_header(std::string_view line, Header& out) {
   try {
     const json::Value doc = json::parse(line);
-    const auto* schema = doc.find("schema");
-    if (schema == nullptr || schema->as_string("schema") != kEntrySchema)
+    if (doc.string_at("schema", "header") != kEntrySchema)
       return "unrecognized entry schema";
-    const auto* key = doc.find("key");
-    const auto* kind = doc.find("kind");
-    const auto* bytes = doc.find("payload_bytes");
-    const auto* digest = doc.find("payload_sha256");
-    if (key == nullptr || kind == nullptr || bytes == nullptr ||
-        digest == nullptr)
-      return "header is missing key/kind/payload_bytes/payload_sha256";
-    out.key_hex = key->as_string("key");
-    out.kind = kind->as_string("kind");
-    out.payload_bytes = bytes->as_uint("payload_bytes");
-    out.payload_sha256 = digest->as_string("payload_sha256");
+    out.key_hex = doc.string_at("key", "header");
+    out.kind = doc.string_at("kind", "header");
+    out.payload_bytes = doc.uint_at("payload_bytes", "header");
+    out.payload_sha256 = doc.string_at("payload_sha256", "header");
     return "";
   } catch (const std::exception& e) {
     return std::string("header parse failed: ") + e.what();

@@ -170,20 +170,6 @@ void record_to_json(const MutationRecord& record, json::Writer& w) {
   w.end_array();
 }
 
-const json::Value& req(const json::Value& doc, std::string_view key,
-                       const std::string& label) {
-  const auto* v = doc.find(key);
-  if (v == nullptr)
-    throw Error("merge: " + label + " is missing '" + std::string(key) + "'");
-  return *v;
-}
-
-bool as_bool(const json::Value& v, std::string_view context) {
-  if (v.kind != json::Value::Kind::kBool)
-    throw Error("merge: '" + std::string(context) + "' is not a boolean");
-  return v.boolean;
-}
-
 crypto::Granularity parse_granularity(const std::string& name) {
   for (const auto g :
        {crypto::Granularity::kPerPair, crypto::Granularity::kPerWord})
@@ -198,17 +184,39 @@ sim::ResetCause parse_cause(const std::string& name) {
   throw Error("merge: unknown reset cause '" + name + "'");
 }
 
-verify::Rule parse_rule(const std::string& name) {
-  if (const auto* info = verify::find_rule(name)) return info->rule;
-  throw Error("merge: unknown lint rule '" + name + "'");
-}
-
-MutationRecord record_from_json(const json::Value& v,
-                                std::string_view context) {
+MutationRecord record_at(const json::Value& v, std::string_view key,
+                         std::string_view context) {
   MutationRecord record;
-  for (const auto& m : v.as_array(context))
+  for (const auto& m : v.array_at(key, context))
     record.push_back(mutation_from_json(m));
   return record;
+}
+
+void escape_to_json(const EscapeRecord& e, json::Writer& w) {
+  w.begin_object();
+  w.member("job", e.job);
+  w.member("status", e.status);
+  w.member("output_clean", e.output_clean);
+  w.key("mutations");
+  record_to_json(e.applied, w);
+  w.key("minimized");
+  record_to_json(e.minimized, w);
+  w.key("lint").begin_array();
+  for (const verify::Rule rule : e.lint) w.value(verify::to_string(rule));
+  w.end_array();
+  w.end_object();
+}
+
+EscapeRecord escape_from_json(const json::Value& v, std::string_view context) {
+  EscapeRecord e;
+  e.job = v.uint_at("job", context);
+  e.status = v.string_at("status", context);
+  e.output_clean = v.bool_at("output_clean", context);
+  e.applied = record_at(v, "mutations", context);
+  e.minimized = record_at(v, "minimized", context);
+  for (const auto& rule : v.array_at("lint", context))
+    e.lint.push_back(verify::parse_rule(rule.as_string("lint")));
+  return e;
 }
 
 }  // namespace
@@ -361,19 +369,8 @@ std::string encode_trial_payload(const Trial& t) {
   w.key("record");
   record_to_json(t.record, w);
   if (t.cls == TrialClass::kEscaped) {
-    w.key("escape").begin_object();
-    w.member("job", t.escape.job);
-    w.member("status", t.escape.status);
-    w.member("output_clean", t.escape.output_clean);
-    w.key("mutations");
-    record_to_json(t.escape.applied, w);
-    w.key("minimized");
-    record_to_json(t.escape.minimized, w);
-    w.key("lint").begin_array();
-    for (const verify::Rule rule : t.escape.lint)
-      w.value(verify::to_string(rule));
-    w.end_array();
-    w.end_object();
+    w.key("escape");
+    escape_to_json(t.escape, w);
   }
   w.end_object();
   return w.str();
@@ -391,29 +388,15 @@ TrialClass parse_class(const std::string& name) {
 bool decode_trial_payload(const std::string& payload, Trial& t) {
   try {
     const json::Value doc = json::parse(payload);
-    const auto* schema = doc.find("schema");
-    if (schema == nullptr ||
-        schema->as_string("schema") != kTrialPayloadSchema)
-      return false;
-    const std::string label = "cached trial";
+    const std::string_view label = "cached trial";
+    if (doc.string_at("schema", label) != kTrialPayloadSchema) return false;
     Trial out;
-    out.cls = parse_class(req(doc, "cls", label).as_string("cls"));
-    out.cause = parse_cause(req(doc, "cause", label).as_string("cause"));
-    out.insts = req(doc, "insts", label).as_uint("insts");
-    out.record = record_from_json(req(doc, "record", label), "record");
-    if (out.cls == TrialClass::kEscaped) {
-      const auto& je = req(doc, "escape", label);
-      out.escape.job = req(je, "job", label).as_uint("job");
-      out.escape.status = req(je, "status", label).as_string("status");
-      out.escape.output_clean =
-          as_bool(req(je, "output_clean", label), "output_clean");
-      out.escape.applied =
-          record_from_json(req(je, "mutations", label), "mutations");
-      out.escape.minimized =
-          record_from_json(req(je, "minimized", label), "minimized");
-      for (const auto& rule : req(je, "lint", label).as_array("lint"))
-        out.escape.lint.push_back(parse_rule(rule.as_string("lint")));
-    }
+    out.cls = parse_class(doc.string_at("cls", label));
+    out.cause = parse_cause(doc.string_at("cause", label));
+    out.insts = doc.uint_at("insts", label);
+    out.record = record_at(doc, "record", label);
+    if (out.cls == TrialClass::kEscaped)
+      out.escape = escape_from_json(doc.at("escape", label), label);
     t = std::move(out);
     return true;
   } catch (const std::exception&) {
@@ -421,25 +404,12 @@ bool decode_trial_payload(const std::string& payload, Trial& t) {
   }
 }
 
-Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
-                cache::ResultStore* store) {
-  Trial t;
-  cache::Key key{};
-  if (store != nullptr) {
-    cache::KeyBuilder kb("sofia-cache-key-v1/campaign-trial");
-    kb.field("fixture", fx.cache_digest);
-    kb.field("job", job);
-    key = kb.finish();
-    if (auto payload = store->load(key, kTrialKind)) {
-      if (decode_trial_payload(*payload, t)) {
-        t.from_cache = true;
-        return t;
-      }
-      store->warn("cache: campaign-trial payload for job " +
-                  std::to_string(job) + " is undecodable; re-executing");
-    }
-  }
-  bool trial_error = false;
+/// Generate, execute and classify one trial into `t`. A trial-level failure
+/// (replay error, backend transport loss) is an escape with the error as
+/// its status — loud in the document, never sinking the campaign — and
+/// returns false: environmental failures must retry, not be cached.
+bool execute_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
+                   Trial& t) {
   try {
     Rng rng = base.fork(job);
     t.record = generate_record(rng, fx.geometry);
@@ -463,21 +433,33 @@ Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
       t.escape.lint =
           verify::error_rules(verify::lint(fx.model, image, fx.device_spec));
     }
+    return true;
   } catch (const std::exception& e) {
-    // A trial-level failure (replay error, backend transport loss) is an
-    // escape with the error as its status: loud in the document, gating
-    // the exit code, never sinking the campaign.
-    trial_error = true;
     t.cls = TrialClass::kEscaped;
     t.escape.job = job;
     t.escape.status = std::string("error: ") + e.what();
     t.escape.applied = t.record;
     t.escape.minimized = t.record;
+    return false;
   }
-  // Deterministic outcomes are cacheable; environmental failures (the
-  // catch path — e.g. a lost transport) must retry on the next run.
-  if (store != nullptr && !trial_error)
-    store->store(key, kTrialKind, encode_trial_payload(t));
+}
+
+Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
+                cache::ResultStore* store) {
+  Trial t;
+  t.from_cache = driver::cached_job(
+      store, kTrialKind, job,
+      [&] {
+        cache::KeyBuilder kb("sofia-cache-key-v1/campaign-trial");
+        kb.field("fixture", fx.cache_digest);
+        kb.field("job", job);
+        return kb.finish();
+      },
+      [&](const std::string& payload) {
+        return decode_trial_payload(payload, t);
+      },
+      [&] { return execute_trial(fx, job, base, t); },
+      [&] { return encode_trial_payload(t); });
   return t;
 }
 
@@ -487,17 +469,10 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
                             const CellProgressFn& progress,
                             driver::ShardSpec shard,
                             cache::ResultStore* store) {
-  shard.validate();
+  const auto jobs = driver::shard_slice(spec.total_jobs(), shard);
   if (spec.cells.empty()) throw Error("campaign: no matrix cells");
   if (spec.jobs_per_cell == 0)
     throw Error("campaign: jobs_per_cell must be >= 1");
-
-  // This shard's slice of the global job list (index ≡ shard.index mod
-  // count), exactly the sweep driver's discipline.
-  std::vector<std::uint64_t> jobs;
-  const std::uint64_t total = spec.total_jobs();
-  for (std::uint64_t g = shard.index; g < total; g += shard.count)
-    jobs.push_back(g);
 
   // Build fixtures only for cells this shard actually touches.
   std::vector<std::unique_ptr<Fixture>> fixtures(spec.cells.size());
@@ -585,9 +560,7 @@ std::string to_json(const CampaignResult& result) {
   w.member("jobs_per_cell",
            static_cast<std::uint64_t>(result.spec.jobs_per_cell));
   w.member("job_count", result.spec.total_jobs());
-  if (!result.shard.is_whole())
-    w.member("shard", std::to_string(result.shard.index) + "/" +
-                          std::to_string(result.shard.count));
+  if (!result.shard.is_whole()) w.member("shard", result.shard.to_string());
   w.key("cells").begin_array();
   for (std::size_t c = 0; c < result.cells.size(); ++c) {
     const CellResult& cell = result.cells[c];
@@ -624,20 +597,7 @@ std::string to_json(const CampaignResult& result) {
       w.end_object();
     }
     w.key("escapes").begin_array();
-    for (const EscapeRecord& e : cell.escapes) {
-      w.begin_object();
-      w.member("job", e.job);
-      w.member("status", e.status);
-      w.member("output_clean", e.output_clean);
-      w.key("mutations");
-      record_to_json(e.applied, w);
-      w.key("minimized");
-      record_to_json(e.minimized, w);
-      w.key("lint").begin_array();
-      for (const verify::Rule rule : e.lint) w.value(verify::to_string(rule));
-      w.end_array();
-      w.end_object();
-    }
+    for (const EscapeRecord& e : cell.escapes) escape_to_json(e, w);
     w.end_array();
     w.end_object();
   }
@@ -653,124 +613,94 @@ std::string to_json(const CampaignResult& result) {
 // ---------------------------------------------------------------------------
 
 std::string merge_json(const std::vector<std::string>& documents) {
-  if (documents.empty()) throw Error("merge: no input documents");
+  const auto parsed = driver::parse_merge_inputs(
+      documents, kSchema,
+      {"campaign", "victim", "size", "backend", "seed", "donor_omega",
+       "jobs_per_cell"});
 
   CampaignResult merged;
+  auto& spec = merged.spec;
+  const json::Value& head = parsed[0];
+  const std::string_view head_label = "merge: document 0";
+  spec.name = head.string_at("campaign", head_label);
+  const auto& victim = head.string_at("victim", head_label);
+  spec.workload = victim == "builtin" ? "" : victim;
+  spec.size = static_cast<std::uint32_t>(head.uint_at("size", head_label));
+  spec.backend = head.string_at("backend", head_label);
+  spec.seed = head.uint_at("seed", head_label);
+  spec.donor_omega =
+      static_cast<std::uint16_t>(head.uint_at("donor_omega", head_label));
+  spec.jobs_per_cell =
+      static_cast<std::uint32_t>(head.uint_at("jobs_per_cell", head_label));
+
   std::vector<bool> shard_seen;
-  std::uint32_t shard_count = 0;
-
-  for (std::size_t d = 0; d < documents.size(); ++d) {
-    const json::Value doc = json::parse(documents[d]);
-    const auto label = "document " + std::to_string(d);
-    if (req(doc, "schema", label).as_string("schema") != kSchema)
-      throw Error("merge: " + label + " is not a " + std::string(kSchema) +
-                  " document");
-
-    CampaignSpec spec;
-    spec.name = req(doc, "campaign", label).as_string("campaign");
-    const auto victim = req(doc, "victim", label).as_string("victim");
-    spec.workload = victim == "builtin" ? "" : victim;
-    spec.size =
-        static_cast<std::uint32_t>(req(doc, "size", label).as_uint("size"));
-    spec.backend = req(doc, "backend", label).as_string("backend");
-    spec.seed = req(doc, "seed", label).as_uint("seed");
-    spec.donor_omega = static_cast<std::uint16_t>(
-        req(doc, "donor_omega", label).as_uint("donor_omega"));
-    spec.jobs_per_cell = static_cast<std::uint32_t>(
-        req(doc, "jobs_per_cell", label).as_uint("jobs_per_cell"));
-
-    const auto shard_text = driver::ShardSpec::parse(
-        req(doc, "shard", label).as_string("shard"));
+  for (std::size_t d = 0; d < parsed.size(); ++d) {
+    const json::Value& doc = parsed[d];
+    const auto label = "merge: document " + std::to_string(d);
+    const auto shard = driver::ShardSpec::parse(doc.string_at("shard", label));
     if (d == 0) {
-      shard_count = shard_text.count;
-      if (documents.size() != shard_count)
+      if (documents.size() != shard.count)
         throw Error("merge: got " + std::to_string(documents.size()) +
-                    " document(s) for " + std::to_string(shard_count) +
+                    " document(s) for " + std::to_string(shard.count) +
                     " shard(s)");
-      shard_seen.assign(shard_count, false);
-    } else if (shard_text.count != shard_count) {
-      throw Error("merge: " + label + " disagrees on the shard count");
+      shard_seen.assign(shard.count, false);
+    } else if (shard.count != shard_seen.size()) {
+      throw Error(label + " disagrees on the shard count");
     }
-    if (shard_seen[shard_text.index])
-      throw Error("merge: shard " + std::to_string(shard_text.index) +
+    if (shard_seen[shard.index])
+      throw Error("merge: shard " + std::to_string(shard.index) +
                   " appears in more than one document");
-    shard_seen[shard_text.index] = true;
+    shard_seen[shard.index] = true;
 
-    const auto& cells = req(doc, "cells", label).as_array("cells");
-    if (d == 0) {
-      merged.spec = spec;
+    const auto& cells = doc.array_at("cells", label);
+    if (d == 0)
       merged.cells.resize(cells.size());
-    } else {
-      const auto& s = merged.spec;
-      if (spec.name != s.name || spec.workload != s.workload ||
-          spec.size != s.size || spec.backend != s.backend ||
-          spec.seed != s.seed || spec.donor_omega != s.donor_omega ||
-          spec.jobs_per_cell != s.jobs_per_cell ||
-          cells.size() != merged.cells.size())
-        throw Error("merge: " + label +
-                    " disagrees with document 0 on the campaign header");
-    }
+    else if (cells.size() != merged.cells.size())
+      throw Error(label + " disagrees with document 0 on the cell count");
 
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const auto& jc = cells[c];
       const auto cl = label + " cell " + std::to_string(c);
       CellSpec cell_spec;
-      cell_spec.scheme = req(jc, "scheme", cl).as_string("scheme");
-      cell_spec.cipher = pipeline::DeviceProfile::parse_cipher(
-          req(jc, "cipher", cl).as_string("cipher"));
-      cell_spec.granularity = parse_granularity(
-          req(jc, "granularity", cl).as_string("granularity"));
+      cell_spec.scheme = jc.string_at("scheme", cl);
+      cell_spec.cipher =
+          pipeline::DeviceProfile::parse_cipher(jc.string_at("cipher", cl));
+      cell_spec.granularity =
+          parse_granularity(jc.string_at("granularity", cl));
       auto& out = merged.cells[c];
       if (d == 0) {
-        merged.spec.cells.push_back(cell_spec);
+        spec.cells.push_back(cell_spec);
         out.cell = cell_spec;
-        out.authenticated = as_bool(req(jc, "authenticated", cl), cl);
+        out.authenticated = jc.bool_at("authenticated", cl);
         out.latency_min = ~0ull;
       } else if (cell_spec.scheme != out.cell.scheme ||
                  cell_spec.cipher != out.cell.cipher ||
                  cell_spec.granularity != out.cell.granularity) {
-        throw Error("merge: " + cl + " disagrees on the cell axes");
+        throw Error(cl + " disagrees on the cell axes");
       }
-      out.jobs += req(jc, "jobs", cl).as_uint("jobs");
-      const std::uint64_t detected =
-          req(jc, "detected", cl).as_uint("detected");
+      out.jobs += jc.uint_at("jobs", cl);
+      const std::uint64_t detected = jc.uint_at("detected", cl);
       out.detected += detected;
-      out.harmless += req(jc, "harmless", cl).as_uint("harmless");
-      out.escaped += req(jc, "escaped", cl).as_uint("escaped");
-      for (const auto& [name, count] :
-           req(jc, "causes", cl).object)
+      out.harmless += jc.uint_at("harmless", cl);
+      out.escaped += jc.uint_at("escaped", cl);
+      for (const auto& [name, count] : jc.at("causes", cl).object)
         out.causes[static_cast<std::size_t>(parse_cause(name))] +=
             count.as_uint("causes");
-      for (const auto& [name, count] :
-           req(jc, "mutations", cl).object)
+      for (const auto& [name, count] : jc.at("mutations", cl).object)
         out.mutations[static_cast<std::size_t>(parse_mutation_kind(name))] +=
             count.as_uint("mutations");
       if (detected != 0) {
-        const auto& lat = req(jc, "latency", cl);
-        out.latency_min = std::min(
-            out.latency_min, req(lat, "min_insts", cl).as_uint("min_insts"));
-        out.latency_max = std::max(
-            out.latency_max, req(lat, "max_insts", cl).as_uint("max_insts"));
-        out.latency_total += req(lat, "total_insts", cl).as_uint("total_insts");
+        const auto& lat = jc.at("latency", cl);
+        out.latency_min =
+            std::min(out.latency_min, lat.uint_at("min_insts", cl));
+        out.latency_max =
+            std::max(out.latency_max, lat.uint_at("max_insts", cl));
+        out.latency_total += lat.uint_at("total_insts", cl);
       }
-      for (const auto& je : req(jc, "escapes", cl).as_array("escapes")) {
-        EscapeRecord e;
-        e.job = req(je, "job", cl).as_uint("job");
-        e.status = req(je, "status", cl).as_string("status");
-        e.output_clean = as_bool(req(je, "output_clean", cl), cl);
-        e.applied = record_from_json(req(je, "mutations", cl), "mutations");
-        e.minimized = record_from_json(req(je, "minimized", cl), "minimized");
-        for (const auto& rule : req(je, "lint", cl).as_array("lint"))
-          e.lint.push_back(parse_rule(rule.as_string("lint")));
-        out.escapes.push_back(std::move(e));
-      }
+      for (const auto& je : jc.array_at("escapes", cl))
+        out.escapes.push_back(escape_from_json(je, cl));
     }
   }
-
-  for (std::uint32_t k = 0; k < shard_count; ++k)
-    if (!shard_seen[k])
-      throw Error("merge: shard " + std::to_string(k) +
-                  " is missing from the inputs");
 
   for (auto& cell : merged.cells) {
     if (cell.detected == 0) cell.latency_min = 0;

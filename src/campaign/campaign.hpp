@@ -27,7 +27,7 @@
 #include "cache/result_store.hpp"
 #include "campaign/mutation.hpp"
 #include "crypto/key_set.hpp"
-#include "driver/sweep.hpp"
+#include "driver/pool.hpp"
 #include "verify/verify.hpp"
 
 namespace sofia::campaign {

@@ -285,17 +285,12 @@ void to_json(const Mutation& m, json::Writer& w) {
 }
 
 Mutation mutation_from_json(const json::Value& v) {
-  const auto* kind = v.find("kind");
-  const auto* a = v.find("a");
-  const auto* b = v.find("b");
-  const auto* c = v.find("c");
-  if (kind == nullptr || a == nullptr || b == nullptr || c == nullptr)
-    throw Error("mutation record: missing kind/a/b/c");
+  const std::string_view context = "mutation record";
   Mutation m;
-  m.kind = parse_mutation_kind(kind->as_string("kind"));
-  m.a = a->as_uint("a");
-  m.b = b->as_uint("b");
-  m.c = c->as_uint("c");
+  m.kind = parse_mutation_kind(v.string_at("kind", context));
+  m.a = v.uint_at("a", context);
+  m.b = v.uint_at("b", context);
+  m.c = v.uint_at("c", context);
   return m;
 }
 

@@ -3,17 +3,19 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <utility>
 
 #include "assembler/image_io.hpp"
 #include "driver/pool.hpp"
 #include "scheme/scheme.hpp"
-#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
 namespace sofia::driver {
 
 namespace {
+
+constexpr std::string_view kSchema = "sofia-sweep-v5";
 
 std::string bool01(bool b) { return b ? "1" : "0"; }
 
@@ -88,31 +90,6 @@ std::size_t SweepResult::cached_jobs() const {
                     [](const JobResult& r) { return r.from_cache; }));
 }
 
-void ShardSpec::validate() const {
-  if (count == 0) throw Error("shard: count must be >= 1");
-  if (index >= count)
-    throw Error("shard: index " + std::to_string(index) +
-                " out of range for " + std::to_string(count) + " shard(s)");
-}
-
-ShardSpec ShardSpec::parse(std::string_view text) {
-  const auto slash = text.find('/');
-  const auto parse_num = [&](std::string_view part) -> std::uint32_t {
-    std::uint64_t v = 0;
-    if (!cli::parse_number(part, v) || v > 0xFFFFFFFFull)
-      throw Error("shard: expected K/N with K and N in [0, 2^32), got '" +
-                  std::string(text) + "'");
-    return static_cast<std::uint32_t>(v);
-  };
-  if (slash == std::string_view::npos)
-    throw Error("shard: expected K/N syntax, got '" + std::string(text) + "'");
-  ShardSpec shard;
-  shard.index = parse_num(text.substr(0, slash));
-  shard.count = parse_num(text.substr(slash + 1));
-  shard.validate();
-  return shard;
-}
-
 namespace {
 
 // ---- result-cache payload codec -------------------------------------------
@@ -126,71 +103,54 @@ namespace {
 constexpr std::string_view kJobKind = "sweep-job";
 constexpr std::string_view kJobPayloadSchema = "sofia-cache-sweep-job-v1";
 
+/// The payload's SimStats members, in the order they are written.
+constexpr std::pair<std::string_view, std::uint64_t sim::SimStats::*>
+    kStatsFields[] = {
+        {"cycles", &sim::SimStats::cycles},
+        {"insts", &sim::SimStats::insts},
+        {"nops", &sim::SimStats::nops},
+        {"loads", &sim::SimStats::loads},
+        {"stores", &sim::SimStats::stores},
+        {"branches", &sim::SimStats::branches},
+        {"taken", &sim::SimStats::taken},
+        {"icache_hits", &sim::SimStats::icache_hits},
+        {"icache_misses", &sim::SimStats::icache_misses},
+        {"fetch_words", &sim::SimStats::fetch_words},
+        {"mac_words", &sim::SimStats::mac_words},
+        {"ctr_ops", &sim::SimStats::ctr_ops},
+        {"cbc_ops", &sim::SimStats::cbc_ops},
+        {"blocks_fetched", &sim::SimStats::blocks_fetched},
+        {"mac_verifications", &sim::SimStats::mac_verifications},
+        {"store_gate_stalls", &sim::SimStats::store_gate_stalls},
+        {"queue_empty_cycles", &sim::SimStats::queue_empty_cycles},
+        {"exec_stall_cycles", &sim::SimStats::exec_stall_cycles},
+};
+
 void stats_to_json(const sim::SimStats& s, json::Writer& w) {
   w.begin_object();
-  w.member("cycles", s.cycles);
-  w.member("insts", s.insts);
-  w.member("nops", s.nops);
-  w.member("loads", s.loads);
-  w.member("stores", s.stores);
-  w.member("branches", s.branches);
-  w.member("taken", s.taken);
-  w.member("icache_hits", s.icache_hits);
-  w.member("icache_misses", s.icache_misses);
-  w.member("fetch_words", s.fetch_words);
-  w.member("mac_words", s.mac_words);
-  w.member("ctr_ops", s.ctr_ops);
-  w.member("cbc_ops", s.cbc_ops);
-  w.member("blocks_fetched", s.blocks_fetched);
-  w.member("mac_verifications", s.mac_verifications);
-  w.member("store_gate_stalls", s.store_gate_stalls);
-  w.member("queue_empty_cycles", s.queue_empty_cycles);
-  w.member("exec_stall_cycles", s.exec_stall_cycles);
+  for (const auto& [name, field] : kStatsFields) w.member(name, s.*field);
   w.end_object();
 }
 
-std::uint64_t req_uint(const json::Value& v, std::string_view key) {
-  const auto* m = v.find(key);
-  if (m == nullptr)
-    throw Error("cache payload: missing '" + std::string(key) + "'");
-  return m->as_uint(key);
-}
-
-const std::string& req_string(const json::Value& v, std::string_view key) {
-  const auto* m = v.find(key);
-  if (m == nullptr)
-    throw Error("cache payload: missing '" + std::string(key) + "'");
-  return m->as_string(key);
-}
-
-std::int64_t req_int(const json::Value& v, std::string_view key) {
-  const auto* m = v.find(key);
-  if (m == nullptr || m->kind != json::Value::Kind::kNumber)
-    throw Error("cache payload: missing integer '" + std::string(key) + "'");
-  return std::stoll(m->number);
-}
+/// Context for payload decode errors (they only ever mean "miss").
+constexpr std::string_view kPayload = "cache payload";
 
 sim::SimStats stats_from_json(const json::Value& v) {
   sim::SimStats s;
-  s.cycles = req_uint(v, "cycles");
-  s.insts = req_uint(v, "insts");
-  s.nops = req_uint(v, "nops");
-  s.loads = req_uint(v, "loads");
-  s.stores = req_uint(v, "stores");
-  s.branches = req_uint(v, "branches");
-  s.taken = req_uint(v, "taken");
-  s.icache_hits = req_uint(v, "icache_hits");
-  s.icache_misses = req_uint(v, "icache_misses");
-  s.fetch_words = req_uint(v, "fetch_words");
-  s.mac_words = req_uint(v, "mac_words");
-  s.ctr_ops = req_uint(v, "ctr_ops");
-  s.cbc_ops = req_uint(v, "cbc_ops");
-  s.blocks_fetched = req_uint(v, "blocks_fetched");
-  s.mac_verifications = req_uint(v, "mac_verifications");
-  s.store_gate_stalls = req_uint(v, "store_gate_stalls");
-  s.queue_empty_cycles = req_uint(v, "queue_empty_cycles");
-  s.exec_stall_cycles = req_uint(v, "exec_stall_cycles");
+  for (const auto& [name, field] : kStatsFields)
+    s.*field = v.uint_at(name, kPayload);
   return s;
+}
+
+/// One lint finding, as the payload and the sweep record both write it.
+void finding_to_json(const verify::Finding& f, json::Writer& w) {
+  w.begin_object();
+  w.member("rule", verify::to_string(f.rule));
+  w.member("severity", verify::to_string(f.severity));
+  w.member("block", f.block);
+  w.member("insn", f.insn);
+  w.member("message", f.message);
+  w.end_object();
 }
 
 std::string encode_job_payload(const JobResult& r) {
@@ -201,15 +161,7 @@ std::string encode_job_payload(const JobResult& r) {
   if (!r.ok) {
     w.member("error", r.error);
     w.key("lint").begin_array();
-    for (const auto& f : r.lint) {
-      w.begin_object();
-      w.member("rule", verify::to_string(f.rule));
-      w.member("severity", verify::to_string(f.severity));
-      w.member("block", f.block);
-      w.member("insn", f.insn);
-      w.member("message", f.message);
-      w.end_object();
-    }
+    for (const auto& f : r.lint) finding_to_json(f, w);
     w.end_array();
   } else {
     w.key("m").begin_object();
@@ -228,11 +180,6 @@ std::string encode_job_payload(const JobResult& r) {
   return w.str();
 }
 
-verify::Rule parse_rule(const std::string& name) {
-  if (const auto* info = verify::find_rule(name)) return info->rule;
-  throw Error("cache payload: unknown lint rule '" + name + "'");
-}
-
 verify::Severity parse_severity(const std::string& name) {
   for (const auto s : {verify::Severity::kNote, verify::Severity::kWarning,
                        verify::Severity::kError})
@@ -246,42 +193,32 @@ verify::Severity parse_severity(const std::string& name) {
 bool decode_job_payload(const std::string& payload, JobResult& r) {
   try {
     const json::Value doc = json::parse(payload);
-    const auto* schema = doc.find("schema");
-    if (schema == nullptr || schema->as_string("schema") != kJobPayloadSchema)
-      return false;
+    if (doc.string_at("schema", kPayload) != kJobPayloadSchema) return false;
     JobResult out;
     out.job = r.job;
-    const auto* ok = doc.find("ok");
-    if (ok == nullptr || ok->kind != json::Value::Kind::kBool) return false;
-    out.ok = ok->boolean;
+    out.ok = doc.bool_at("ok", kPayload);
     if (!out.ok) {
-      out.error = req_string(doc, "error");
-      const auto* lint = doc.find("lint");
-      if (lint == nullptr) return false;
-      for (const auto& jf : lint->as_array("lint")) {
+      out.error = doc.string_at("error", kPayload);
+      for (const auto& jf : doc.array_at("lint", kPayload)) {
         verify::Finding f;
-        f.rule = parse_rule(req_string(jf, "rule"));
-        f.severity = parse_severity(req_string(jf, "severity"));
-        f.block = req_int(jf, "block");
-        f.insn = req_int(jf, "insn");
-        f.message = req_string(jf, "message");
+        f.rule = verify::parse_rule(jf.string_at("rule", kPayload));
+        f.severity = parse_severity(jf.string_at("severity", kPayload));
+        f.block = jf.int_at("block", kPayload);
+        f.insn = jf.int_at("insn", kPayload);
+        f.message = jf.string_at("message", kPayload);
         out.lint.push_back(std::move(f));
       }
     } else {
-      const auto* m = doc.find("m");
-      if (m == nullptr) return false;
-      out.m.name = req_string(*m, "name");
+      const auto& m = doc.at("m", kPayload);
+      out.m.name = m.string_at("name", kPayload);
       out.m.vanilla_text_bytes =
-          static_cast<std::uint32_t>(req_uint(*m, "vanilla_text_bytes"));
+          static_cast<std::uint32_t>(m.uint_at("vanilla_text_bytes", kPayload));
       out.m.sofia_text_bytes =
-          static_cast<std::uint32_t>(req_uint(*m, "sofia_text_bytes"));
-      out.m.vanilla_cycles = req_uint(*m, "vanilla_cycles");
-      out.m.sofia_cycles = req_uint(*m, "sofia_cycles");
-      const auto* vs = m->find("vanilla_stats");
-      const auto* ss = m->find("sofia_stats");
-      if (vs == nullptr || ss == nullptr) return false;
-      out.m.vanilla_stats = stats_from_json(*vs);
-      out.m.sofia_stats = stats_from_json(*ss);
+          static_cast<std::uint32_t>(m.uint_at("sofia_text_bytes", kPayload));
+      out.m.vanilla_cycles = m.uint_at("vanilla_cycles", kPayload);
+      out.m.sofia_cycles = m.uint_at("sofia_cycles", kPayload);
+      out.m.vanilla_stats = stats_from_json(m.at("vanilla_stats", kPayload));
+      out.m.sofia_stats = stats_from_json(m.at("sofia_stats", kPayload));
     }
     r = std::move(out);
     return true;
@@ -307,32 +244,10 @@ cache::Key job_key(const JobSpec& job, pipeline::Pipeline& p) {
   return kb.finish();
 }
 
-JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
-  JobResult result;
-  result.job = job;
-  cache::Key key{};
-  bool have_key = false;
+/// The lint prefilter, then the vanilla + SOFIA measurement; failures land
+/// in `result`.
+void execute(const JobSpec& job, pipeline::Pipeline& p, JobResult& result) {
   try {
-    const auto& wl = workloads::workload(job.workload);
-    auto p = pipeline::Pipeline::from_workload(wl, job.seed, job.size,
-                                               job.config.opts.profile);
-    p.set_sim_config(job.config.opts.config);
-    p.set_memory_layout(job.config.opts.mem);
-    if (store != nullptr) {
-      // Key derivation runs the transform (cheap) but neither device run
-      // (the expensive part a hit skips).
-      key = job_key(job, p);
-      have_key = true;
-      if (auto payload = store->load(key, kJobKind)) {
-        if (decode_job_payload(*payload, result)) {
-          result.from_cache = true;
-          return result;
-        }
-        store->warn("cache: sweep-job payload for job " +
-                    std::to_string(job.index) +
-                    " is undecodable; re-executing");
-      }
-    }
     if (job.lint) {
       // Lint prefilter: verify the hardened image statically and fail the
       // job before either device run; the same session then measures, so
@@ -340,15 +255,11 @@ JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
       const verify::Report report = p.lint();
       if (!report.clean()) {
         for (const auto& f : report.findings)
-          if (f.severity == verify::Severity::kError)
-            result.lint.push_back(f);
-        result.error =
-            "lint: " + std::to_string(result.lint.size()) +
-            " error-severity finding(s), first: " +
-            std::string(verify::to_string(result.lint.front().rule));
-        if (store != nullptr && have_key)
-          store->store(key, kJobKind, encode_job_payload(result));
-        return result;
+          if (f.severity == verify::Severity::kError) result.lint.push_back(f);
+        result.error = "lint: " + std::to_string(result.lint.size()) +
+                       " error-severity finding(s), first: " +
+                       std::string(verify::to_string(result.lint.front().rule));
+        return;
       }
     }
     result.m = p.measure();
@@ -356,10 +267,34 @@ JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
   } catch (const std::exception& e) {
     result.error = e.what();
   }
-  // Measurements AND deterministic failures (functional mismatches, lint)
-  // are cacheable; only jobs that died before a key existed are not.
-  if (store != nullptr && have_key)
-    store->store(key, kJobKind, encode_job_payload(result));
+}
+
+JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
+  JobResult result;
+  result.job = job;
+  try {
+    const auto& wl = workloads::workload(job.workload);
+    auto p = pipeline::Pipeline::from_workload(wl, job.seed, job.size,
+                                               job.config.opts.profile);
+    p.set_sim_config(job.config.opts.config);
+    p.set_memory_layout(job.config.opts.mem);
+    // Key derivation runs the transform (cheap) but neither device run
+    // (the expensive part a hit skips). Measurements AND deterministic
+    // failures (functional mismatches, lint) are cacheable; only jobs that
+    // died before a key existed are not.
+    result.from_cache = cached_job(
+        store, kJobKind, job.index, [&] { return job_key(job, p); },
+        [&](const std::string& payload) {
+          return decode_job_payload(payload, result);
+        },
+        [&] {
+          execute(job, p, result);
+          return true;
+        },
+        [&] { return encode_job_payload(result); });
+  } catch (const std::exception& e) {
+    result.error = e.what();
+  }
   return result;
 }
 
@@ -368,18 +303,14 @@ JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
 SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
                       const ProgressFn& progress, ShardSpec shard,
                       cache::ResultStore* store) {
-  shard.validate();
   const auto all_jobs = expand_jobs(spec);
-  std::vector<JobSpec> jobs;
-  jobs.reserve(all_jobs.size());
-  for (const auto& job : all_jobs)
-    if (job.index % shard.count == shard.index) jobs.push_back(job);
+  const auto slice = shard_slice(all_jobs.size(), shard);
 
   SweepResult result;
   result.sweep_name = spec.name;
   result.total_jobs = all_jobs.size();
   result.shard = shard;
-  result.jobs.resize(jobs.size());
+  result.jobs.resize(slice.size());
 
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -388,8 +319,8 @@ SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
   // (and the JSON rendered from it) never depends on thread interleaving.
   std::mutex progress_mutex;
   result.threads_used =
-      for_each_index(jobs.size(), threads, [&](std::size_t i) {
-        result.jobs[i] = run_job(jobs[i], store);
+      for_each_index(slice.size(), threads, [&](std::size_t i) {
+        result.jobs[i] = run_job(all_jobs[slice[i]], store);
         if (progress) {
           const std::lock_guard<std::mutex> lock(progress_mutex);
           progress(result.jobs[i]);
@@ -406,14 +337,12 @@ std::string to_json(const SweepResult& result) {
   const hw::HwModel model;
   json::Writer w(2);
   w.begin_object();
-  w.member("schema", "sofia-sweep-v5");
+  w.member("schema", kSchema);
   w.member("sweep", result.sweep_name);
   w.member("job_count", static_cast<std::uint64_t>(
                             result.total_jobs ? result.total_jobs
                                               : result.jobs.size()));
-  if (!result.shard.is_whole())
-    w.member("shard", std::to_string(result.shard.index) + "/" +
-                          std::to_string(result.shard.count));
+  if (!result.shard.is_whole()) w.member("shard", result.shard.to_string());
   w.key("jobs").begin_array();
   for (const auto& r : result.jobs) {
     w.begin_object();
@@ -430,15 +359,7 @@ std::string to_json(const SweepResult& result) {
       w.member("error", r.error);
       if (!r.lint.empty()) {
         w.key("lint").begin_array();
-        for (const auto& f : r.lint) {
-          w.begin_object();
-          w.member("rule", verify::to_string(f.rule));
-          w.member("severity", verify::to_string(f.severity));
-          w.member("block", static_cast<std::int64_t>(f.block));
-          w.member("insn", static_cast<std::int64_t>(f.insn));
-          w.member("message", f.message);
-          w.end_object();
-        }
+        for (const auto& f : r.lint) finding_to_json(f, w);
         w.end_array();
       }
     } else {
@@ -470,43 +391,30 @@ std::string to_json(const SweepResult& result) {
 }
 
 std::string merge_json(const std::vector<std::string>& documents) {
-  if (documents.empty()) throw Error("merge: no input documents");
+  const auto parsed =
+      parse_merge_inputs(documents, kSchema, {"sweep", "job_count"});
+  const std::string sweep_name = parsed[0].string_at("sweep", "merge");
+  const std::uint64_t total = parsed[0].uint_at("job_count", "merge");
 
-  std::string sweep_name;
-  std::uint64_t total = 0;
-  std::vector<const json::Value*> by_index;
-  // Keep the parsed trees alive while by_index points into them.
-  std::vector<json::Value> parsed;
-  parsed.reserve(documents.size());
+  // As many records as job_count says, checked before anything is sized by
+  // it: then no index out of range and none twice means none is missing.
+  std::uint64_t records = 0;
+  for (std::size_t d = 0; d < parsed.size(); ++d) {
+    const auto label = "merge: document " + std::to_string(d);
+    records += parsed[d].array_at("jobs", label).size();
+  }
+  if (records < total)
+    throw Error("merge: " + std::to_string(total - records) + " of " +
+                std::to_string(total) + " job record(s) are missing from "
+                "the inputs");
+  if (records > total)
+    throw Error("merge: the inputs hold " + std::to_string(records) +
+                " job record(s) for job_count " + std::to_string(total));
 
-  for (std::size_t d = 0; d < documents.size(); ++d) {
-    parsed.push_back(json::parse(documents[d]));
-    const auto& doc = parsed.back();
-    const auto label = "document " + std::to_string(d);
-    const auto* schema = doc.find("schema");
-    if (schema == nullptr || schema->as_string("schema") != "sofia-sweep-v5")
-      throw Error("merge: " + label + " is not a sofia-sweep-v5 document");
-    const auto* sweep = doc.find("sweep");
-    const auto* count = doc.find("job_count");
-    const auto* jobs = doc.find("jobs");
-    if (sweep == nullptr || count == nullptr || jobs == nullptr)
-      throw Error("merge: " + label + " is missing sweep/job_count/jobs");
-    if (d == 0) {
-      sweep_name = sweep->as_string("sweep");
-      total = count->as_uint("job_count");
-      by_index.assign(total, nullptr);
-    } else {
-      if (sweep->as_string("sweep") != sweep_name)
-        throw Error("merge: " + label + " is from sweep '" +
-                    sweep->as_string("sweep") + "', expected '" + sweep_name +
-                    "'");
-      if (count->as_uint("job_count") != total)
-        throw Error("merge: " + label + " disagrees on job_count");
-    }
-    for (const auto& job : jobs->as_array("jobs")) {
-      const auto* index = job.find("index");
-      if (index == nullptr) throw Error("merge: job record without index");
-      const std::uint64_t i = index->as_uint("index");
+  std::vector<const json::Value*> by_index(total, nullptr);
+  for (const auto& doc : parsed) {
+    for (const auto& job : doc.find("jobs")->array) {
+      const std::uint64_t i = job.uint_at("index", "merge: job record");
       if (i >= total)
         throw Error("merge: job index " + std::to_string(i) +
                     " out of range for job_count " + std::to_string(total));
@@ -517,17 +425,12 @@ std::string merge_json(const std::vector<std::string>& documents) {
     }
   }
 
-  for (std::uint64_t i = 0; i < total; ++i)
-    if (by_index[i] == nullptr)
-      throw Error("merge: job index " + std::to_string(i) +
-                  " is missing from the inputs");
-
   // Re-emit the canonical unsharded document: identical member order and
   // number text to what to_json() writes, so merged == unsharded, byte for
   // byte.
   json::Writer w(2);
   w.begin_object();
-  w.member("schema", "sofia-sweep-v5");
+  w.member("schema", kSchema);
   w.member("sweep", sweep_name);
   w.member("job_count", total);
   w.key("jobs").begin_array();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cache/result_store.hpp"
+#include "driver/pool.hpp"
 #include "support/measure.hpp"
 #include "verify/verify.hpp"
 
@@ -93,19 +94,6 @@ struct JobResult {
   /// Served from the result cache (the simulations were skipped). Not part
   /// of the JSON document — cached and fresh runs must stay byte-identical.
   bool from_cache = false;
-};
-
-/// One machine's slice of a multi-machine sweep: run only the jobs with
-/// index ≡ index (mod count). The default (0 of 1) is the whole matrix.
-struct ShardSpec {
-  std::uint32_t index = 0;
-  std::uint32_t count = 1;
-
-  bool is_whole() const { return count <= 1; }
-  /// Throws sofia::Error when count == 0 or index >= count.
-  void validate() const;
-  /// Parse the CLI "K/N" syntax.
-  static ShardSpec parse(std::string_view text);
 };
 
 struct SweepResult {

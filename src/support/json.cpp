@@ -241,6 +241,17 @@ class ParserImpl {
   }
 
   Value value() {
+    // Every container level recurses once; cap the depth so a deeply nested
+    // document fails with an error instead of exhausting the stack.
+    if (depth_ == kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    ++depth_;
+    Value v = parse_value();
+    --depth_;
+    return v;
+  }
+
+  Value parse_value() {
     skip_ws();
     const char c = peek();
     Value v;
@@ -310,6 +321,7 @@ class ParserImpl {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace
@@ -319,6 +331,14 @@ const Value* Value::find(std::string_view key) const {
   for (const auto& [k, v] : object)
     if (k == key) return &v;
   return nullptr;
+}
+
+const Value& Value::at(std::string_view key, std::string_view context) const {
+  const Value* v = find(key);
+  if (v == nullptr)
+    throw Error(std::string(context) + " is missing '" + std::string(key) +
+                "'");
+  return *v;
 }
 
 const std::string& Value::as_string(std::string_view context) const {
@@ -336,6 +356,23 @@ std::uint64_t Value::as_uint(std::string_view context) const {
   if (errno != 0 || end != number.c_str() + number.size())
     throw Error("json: " + std::string(context) + " is not an unsigned integer");
   return v;
+}
+
+std::int64_t Value::as_int(std::string_view context) const {
+  if (kind != Kind::kNumber)
+    throw Error("json: " + std::string(context) + " is not a number");
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(number.c_str(), &end, 10);
+  if (errno != 0 || end != number.c_str() + number.size())
+    throw Error("json: " + std::string(context) + " is not an integer");
+  return v;
+}
+
+bool Value::as_bool(std::string_view context) const {
+  if (kind != Kind::kBool)
+    throw Error("json: " + std::string(context) + " is not a boolean");
+  return boolean;
 }
 
 const std::vector<Value>& Value::as_array(std::string_view context) const {

@@ -4,12 +4,12 @@
 // formatted by fixed rules — so two runs of the same experiment produce
 // byte-identical documents regardless of thread interleaving.
 //
-// A small reader (parse/Value) exists for exactly one consumer: the
-// sharded-sweep merge (sofia_sweep --merge), which must re-emit documents
-// this repo wrote *byte-identically*. The Value tree therefore preserves
-// object member order and the verbatim source text of numbers.
+// A small reader (parse/Value) serves the shard merges and the result-cache
+// payloads. The sweep merge must re-emit documents *byte-identically*, so
+// the Value tree preserves object member order and verbatim number text.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -85,20 +85,51 @@ struct Value {
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;  ///< in source order
 
+  bool operator==(const Value&) const = default;
+
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(std::string_view key) const;
+
+  /// Required object member; throws sofia::Error "<context> is missing
+  /// '<key>'" when absent.
+  const Value& at(std::string_view key, std::string_view context) const;
 
   // Typed accessors; throw sofia::Error naming `context` on kind mismatch.
   const std::string& as_string(std::string_view context) const;
   std::uint64_t as_uint(std::string_view context) const;
+  std::int64_t as_int(std::string_view context) const;
+  bool as_bool(std::string_view context) const;
   const std::vector<Value>& as_array(std::string_view context) const;
+
+  // Required member of a given kind: at(key, context) + as_*(key).
+  const std::string& string_at(std::string_view key,
+                               std::string_view context) const {
+    return at(key, context).as_string(key);
+  }
+  std::uint64_t uint_at(std::string_view key, std::string_view context) const {
+    return at(key, context).as_uint(key);
+  }
+  std::int64_t int_at(std::string_view key, std::string_view context) const {
+    return at(key, context).as_int(key);
+  }
+  bool bool_at(std::string_view key, std::string_view context) const {
+    return at(key, context).as_bool(key);
+  }
+  const std::vector<Value>& array_at(std::string_view key,
+                                     std::string_view context) const {
+    return at(key, context).as_array(key);
+  }
 
   /// Re-emit through a Writer (numbers verbatim, strings re-escaped).
   void write(Writer& w) const;
 };
 
+/// Containers may nest at most this deep; the documents this repo writes
+/// nest fewer than 10 levels.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parse a complete JSON document; throws sofia::Error (with byte offset)
-/// on malformed input or trailing garbage.
+/// on malformed input, trailing garbage or nesting deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 }  // namespace sofia::json

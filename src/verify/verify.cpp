@@ -201,6 +201,11 @@ const RuleInfo* find_rule(std::string_view name) {
   return nullptr;
 }
 
+Rule parse_rule(std::string_view name) {
+  if (const auto* info = find_rule(name)) return info->rule;
+  throw Error("unknown lint rule '" + std::string(name) + "'");
+}
+
 void to_sarif(const Report& report, std::string_view artifact,
               json::Writer& w) {
   const auto level_of = [](Severity s) -> std::string_view {

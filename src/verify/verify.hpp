@@ -146,6 +146,10 @@ std::vector<Rule> error_rules(const Report& report);
 /// validation, JSON, SARIF and the README table all render from it.
 const RuleInfo* find_rule(std::string_view name);
 
+/// find_rule() for a rule id read back from a document (cache payloads,
+/// shard merges): throws sofia::Error when no rule has that name.
+Rule parse_rule(std::string_view name);
+
 /// Emit the report as a SARIF 2.1.0 document (the interchange format CI
 /// annotation pipelines consume). `artifact` names the linted unit (source
 /// path or workload name). Output is deterministic: rules appear in

@@ -64,6 +64,19 @@ fs::path entry_path(const fs::path& root, const cache::Key& key) {
          (hex + std::string(cache::kEntryExtension));
 }
 
+/// Re-store every entry under `root` with a payload that passes its digest
+/// check but decodes as neither engine's payload schema.
+void store_undecodable_payloads(const fs::path& root) {
+  cache::ResultStore store(root);
+  for (const auto& info : cache::scan(root)) {
+    cache::Key key{};
+    for (std::size_t i = 0; i < key.size(); ++i)
+      key[i] = static_cast<std::uint8_t>(
+          std::stoul(info.key_hex.substr(2 * i, 2), nullptr, 16));
+    store.store(key, info.kind, "{\"schema\": \"not-a-payload\"}");
+  }
+}
+
 // ---- key derivation --------------------------------------------------------
 
 TEST(KeyBuilder, DeterministicAndInputSensitive) {
@@ -430,6 +443,21 @@ TEST(SweepCache, WarmRunExecutesNothingAndRendersIdenticalBytes) {
 
   EXPECT_EQ(driver::to_json(uncached), driver::to_json(cold));
   EXPECT_EQ(driver::to_json(cold), driver::to_json(warm));
+
+  // The same contract on every built-in matrix's smoke form.
+  for (const auto& name : driver::matrix_names()) {
+    const auto smoke = driver::smoke(driver::matrix(name));
+    TempDir matrix_dir;
+    cache::ResultStore smoke_cold_store(matrix_dir.path);
+    const auto smoke_cold =
+        driver::run_sweep(smoke, 2, {}, {}, &smoke_cold_store);
+    cache::ResultStore smoke_warm_store(matrix_dir.path);
+    const auto smoke_warm =
+        driver::run_sweep(smoke, 2, {}, {}, &smoke_warm_store);
+    EXPECT_EQ(smoke_warm.cached_jobs(), smoke_warm.jobs.size()) << name;
+    EXPECT_EQ(driver::to_json(smoke_cold), driver::to_json(smoke_warm))
+        << name;
+  }
 }
 
 TEST(SweepCache, ShardedColdRunSeedsAFullWarmRun) {
@@ -472,6 +500,26 @@ TEST(SweepCache, CorruptEntryTriggersReexecutionNotFailure) {
   EXPECT_EQ(cache::verify_entries(dir.path).bad, 0u);
 }
 
+TEST(SweepCache, UndecodablePayloadWarnsAndReexecutes) {
+  TempDir dir;
+  const auto spec = small_spec();
+  cache::ResultStore cold_store(dir.path);
+  const auto cold = driver::run_sweep(spec, 1, {}, {}, &cold_store);
+  store_undecodable_payloads(dir.path);
+
+  WarnLog warnings;
+  cache::ResultStore warm_store(dir.path, warnings.fn());
+  const auto warm = driver::run_sweep(spec, 1, {}, {}, &warm_store);
+  EXPECT_EQ(warm.cached_jobs(), 0u);
+  ASSERT_EQ(warnings.messages.size(), warm.jobs.size());
+  for (std::size_t i = 0; i < warm.jobs.size(); ++i)
+    EXPECT_EQ(warnings.messages[i],
+              "cache: sweep-job payload for job " + std::to_string(i) +
+                  " is undecodable; re-executing");
+  EXPECT_EQ(driver::to_json(cold), driver::to_json(warm));
+  EXPECT_EQ(cache::verify_entries(dir.path).bad, 0u);
+}
+
 TEST(SweepCache, LintFindingsAreCachedDeterministically) {
   TempDir dir;
   auto spec = small_spec();
@@ -509,6 +557,26 @@ TEST(CampaignCache, WarmRunServesEveryTrialFromDisk) {
 
   EXPECT_EQ(campaign::to_json(uncached), campaign::to_json(cold));
   EXPECT_EQ(campaign::to_json(cold), campaign::to_json(warm));
+}
+
+TEST(CampaignCache, UndecodablePayloadWarnsAndReexecutes) {
+  TempDir dir;
+  const auto spec = smoke_spec(5);
+  cache::ResultStore cold_store(dir.path);
+  const auto cold = campaign::run_campaign(spec, 1, {}, {}, &cold_store);
+  store_undecodable_payloads(dir.path);
+
+  WarnLog warnings;
+  cache::ResultStore warm_store(dir.path, warnings.fn());
+  const auto warm = campaign::run_campaign(spec, 1, {}, {}, &warm_store);
+  EXPECT_EQ(warm.cached_trials, 0u);
+  ASSERT_EQ(warnings.messages.size(), spec.total_jobs());
+  for (std::size_t i = 0; i < spec.total_jobs(); ++i)
+    EXPECT_EQ(warnings.messages[i],
+              "cache: campaign-trial payload for job " + std::to_string(i) +
+                  " is undecodable; re-executing");
+  EXPECT_EQ(campaign::to_json(cold), campaign::to_json(warm));
+  EXPECT_EQ(cache::verify_entries(dir.path).bad, 0u);
 }
 
 TEST(CampaignCache, InterruptedShardResumesIntoTheFullRun) {

@@ -257,6 +257,11 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(json::parse("{} trailing"), Error);
   EXPECT_THROW(json::parse("{\"a\": }"), Error);
   EXPECT_THROW(json::parse("\"unterminated"), Error);
+  // Nesting past json::kMaxDepth is an error, not a stack overflow.
+  EXPECT_THROW(json::parse(std::string(200000, '[')), Error);
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\": ";
+  EXPECT_THROW(json::parse(objects), Error);
 }
 
 TEST(Shard, ParseAndValidate) {
@@ -314,6 +319,11 @@ TEST(Shard, MergeRejectsGapsOverlapsAndMismatches) {
   const auto doc_other = driver::to_json(driver::run_sweep(other, 1, {}, {1, 2}));
   EXPECT_THROW(driver::merge_json({doc0, doc_other}), Error);
   EXPECT_THROW(driver::merge_json({doc0, "not json"}), Error);
+  // A job_count no record set can match is rejected before it sizes
+  // anything.
+  EXPECT_THROW(driver::merge_json({R"({"schema": "sofia-sweep-v5", "sweep": "x",
+    "job_count": 1152921504606846976, "jobs": []})"}),
+               Error);
 }
 
 TEST(Sweep, SmokeShrinksButKeepsConfigs) {

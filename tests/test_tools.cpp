@@ -735,6 +735,37 @@ TEST_F(Tools, AttackShardMergeIsByteIdenticalToUnsharded) {
   for (const auto& p : {whole, s0, s1, merged}) std::remove(p.c_str());
 }
 
+TEST_F(Tools, MergeRejectsDeeplyNestedAndHugeCountDocuments) {
+  // Hostile merge inputs must end in the tool's error exit code with a
+  // message, never a crash (a signal reads as exit code 0 here).
+  const std::string tag = std::to_string(getpid());
+  const std::string nested = "/tmp/sofia_merge_" + tag + "_nested.json";
+  const std::string huge = "/tmp/sofia_merge_" + tag + "_huge.json";
+  const std::string out = "/tmp/sofia_merge_" + tag + "_out.json";
+  std::ofstream(nested) << std::string(200000, '[');
+  std::ofstream(huge) << R"({"schema": "sofia-sweep-v5", "sweep": "x", )"
+                      << R"("job_count": 1152921504606846976, "jobs": []})";
+  const struct {
+    const char* bin;
+    const char* name;
+    int exit_code;
+  } tools[] = {{SOFIA_SWEEP_BIN, "sofia_sweep", 1},
+               {SOFIA_ATTACK_BIN, "sofia_attack", 2}};
+  for (const auto& tool : tools) {
+    for (const auto& input : {nested, huge}) {
+      int code = 0;
+      const auto output = run_command(
+          std::string(tool.bin) + " --merge " + out + " " + input, &code);
+      EXPECT_EQ(code, tool.exit_code) << tool.name << " " << input << ": "
+                                      << output;
+      EXPECT_NE(output.find(std::string(tool.name) + ": "), std::string::npos)
+          << output;
+      EXPECT_FALSE(std::filesystem::exists(out)) << tool.name;
+    }
+  }
+  for (const auto& p : {nested, huge}) std::remove(p.c_str());
+}
+
 TEST_F(Tools, AttackJsonDashStreamsTheDocumentToStdout) {
   const std::string tag = std::to_string(getpid());
   const std::string json = "/tmp/sofia_attack_" + tag + "_dash.json";

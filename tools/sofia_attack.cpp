@@ -11,45 +11,15 @@
 // Exit code: 0 iff every authenticated cell detected every effective
 // tamper (the "null" encrypt-only baseline is expected to leak and never
 // gates); 1 when an authenticated cell has escapes, 2 on usage/errors.
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "cache/result_store.hpp"
 #include "campaign/campaign.hpp"
+#include "driver/job_tool.hpp"
 #include "pipeline/device_profile.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
 #include "support/cli.hpp"
-#include "support/error.hpp"
-#include "support/io.hpp"
-#include "support/json.hpp"
-
-namespace {
-
-/// The run's cache counters as a side document ({"cache": {...}} stanza);
-/// the campaign document itself stays byte-identical with and without one.
-std::string cache_stats_json(const sofia::cache::ResultStore& store) {
-  const auto s = store.stats();
-  sofia::json::Writer w(2);
-  w.begin_object();
-  w.member("schema", "sofia-cache-stats-v1");
-  w.key("cache").begin_object();
-  w.member("root", store.root().string());
-  w.member("hits", s.hits);
-  w.member("misses", s.misses);
-  w.member("stored", s.stored);
-  w.member("failures", s.failures);
-  w.end_object();
-  w.end_object();
-  std::string doc = w.str();
-  doc += '\n';
-  return doc;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sofia;
@@ -58,20 +28,13 @@ int main(int argc, char** argv) {
   std::string cipher;       // empty = keep both ciphers
   std::string granularity;  // empty = keep both granularities
   std::string backend = "functional";
-  std::string json_path;
-  std::string cache_dir;
-  std::string cache_stats_path;
-  std::string shard_text;
-  std::string merge_out;
-  std::vector<std::string> merge_inputs;
   std::uint32_t size = 0;
   std::uint32_t jobs = 1000;
   std::uint64_t seed = 1;
-  std::uint32_t threads = std::max(1u, std::thread::hardware_concurrency());
   bool campaign_run = false;
   bool smoke = false;
   bool mutators = false;
-  bool quiet = false;
+  driver::JobTool tool("sofia_attack", 2);
 
   cli::Parser parser("sofia_attack",
                      "adversarial mutation campaigns -> JSON verdicts");
@@ -95,24 +58,10 @@ int main(int argc, char** argv) {
               "restrict the matrix to one CTR granularity")
       .choice("--backend", backend, sofia::sim::backend_names(),
               "execution backend for every trial (default: functional)")
-      .option("--threads", threads, "N",
-              "worker threads (default: hardware concurrency)")
-      .option("--json", json_path, "PATH",
-              "write the campaign document to PATH ('-' = stdout)")
-      .option("--cache", cache_dir, "DIR",
-              "content-addressed result cache: resume interrupted campaigns "
-              "and reuse prior trials (default: $SOFIA_CACHE when set)")
-      .option("--cache-stats", cache_stats_path, "PATH",
-              "write this run's cache hit/miss counters as a JSON document")
-      .option("--shard", shard_text, "K/N",
-              "run only job indices congruent to K mod N")
-      .option("--merge", merge_out, "OUT.json",
-              "merge shard documents (trailing args) into OUT.json and exit")
       .flag("--smoke", smoke,
             "shrink the matrix to one cell per scheme (seconds-long gate)")
-      .flag("--mutators", mutators, "list the mutation catalog and exit")
-      .flag("--quiet", quiet, "suppress the per-cell progress table")
-      .positional_list("in.json", merge_inputs);
+      .flag("--mutators", mutators, "list the mutation catalog and exit");
+  tool.add_flags(parser);
   parser.parse_or_exit(argc, argv);
 
   if (mutators) {
@@ -121,35 +70,11 @@ int main(int argc, char** argv) {
                   std::string(info.description).c_str());
     return 0;
   }
-  if (threads < 1) return parser.fail("--threads must be >= 1");
   if (jobs < 1) return parser.fail("--jobs must be >= 1");
-  if (merge_out.empty() && !merge_inputs.empty())
-    return parser.fail("unexpected argument '" + merge_inputs.front() +
-                       "' (input documents are only valid with --merge)");
-  if (!campaign_run && merge_out.empty())
+  if (!campaign_run && tool.merge_out.empty())
     return parser.fail("nothing to do (use --campaign, --merge or --mutators)");
 
-  // With the document on stdout, every informational line moves to stderr
-  // so the output stream stays byte-clean for the collector.
-  std::FILE* log = (json_path == "-" || merge_out == "-") ? stderr : stdout;
-
-  try {
-    if (!merge_out.empty()) {
-      if (merge_inputs.empty())
-        return parser.fail("--merge needs at least one input document");
-      std::vector<std::string> documents;
-      documents.reserve(merge_inputs.size());
-      for (const auto& path : merge_inputs)
-        documents.push_back(io::read_file(path));
-      io::emit_document(merge_out, campaign::merge_json(documents));
-      std::fprintf(log, "merged %zu document(s) into %s\n", documents.size(),
-                   merge_out.c_str());
-      return 0;
-    }
-
-    driver::ShardSpec shard;
-    if (!shard_text.empty()) shard = driver::ShardSpec::parse(shard_text);
-
+  return tool.run(parser, campaign::merge_json, [&] {
     campaign::CampaignSpec spec = campaign::default_campaign();
     if (smoke) spec = campaign::smoke(std::move(spec));
     spec.workload = workload;
@@ -172,20 +97,14 @@ int main(int argc, char** argv) {
       return parser.fail("the --scheme/--cipher/--granularity filters left "
                          "no matrix cells");
 
-    if (shard.is_whole()) {
-      std::fprintf(log, "campaign %-12s %zu cell(s) x %u job(s) on %u "
-                        "thread(s)\n",
-                   spec.name.c_str(), spec.cells.size(), jobs, threads);
-    } else {
-      std::fprintf(log,
-                   "campaign %-12s shard %u/%u of %zu cell(s) x %u job(s) "
-                   "on %u thread(s)\n",
-                   spec.name.c_str(), shard.index, shard.count,
-                   spec.cells.size(), jobs, threads);
-    }
+    std::FILE* log = tool.log;
+    std::fprintf(log, "campaign %-12s %s%zu cell(s) x %u job(s) on %u "
+                      "thread(s)\n",
+                 spec.name.c_str(), tool.shard_note().c_str(),
+                 spec.cells.size(), jobs, tool.threads);
 
     campaign::CellProgressFn progress;
-    if (!quiet) {
+    if (!tool.quiet) {
       progress = [log](const campaign::CellResult& cell) {
         std::fprintf(log,
                      "  %-36s jobs %6llu  detected %6llu  harmless %6llu  "
@@ -198,35 +117,14 @@ int main(int argc, char** argv) {
                      100.0 * cell.detection_rate());
       };
     }
-    // Cache warnings (loud misses, store failures) always go to stderr so
-    // they survive --quiet and never touch a stdout document.
-    const auto store = cache::ResultStore::open(cache_dir, [](const std::string& m) {
-      std::fprintf(stderr, "sofia_attack: %s\n", m.c_str());
-    });
-    if (store)
-      std::fprintf(log, "cache: %s\n", store->root().string().c_str());
-    if (!store && !cache_stats_path.empty())
-      return parser.fail("--cache-stats needs --cache (or $SOFIA_CACHE)");
 
-    const auto result =
-        campaign::run_campaign(spec, threads, progress, shard, store.get());
+    const auto result = campaign::run_campaign(spec, tool.threads, progress,
+                                               tool.shard, tool.store.get());
     std::fprintf(log, "done in %.2f s (%u thread(s)); %s\n",
                  result.wall_seconds, result.threads_used,
                  result.authenticated_clean()
                      ? "authenticated schemes clean"
                      : "ESCAPES in an authenticated scheme");
-    if (store) {
-      const auto cs = store->stats();
-      std::fprintf(stderr,
-                   "cache: %llu hit(s), %llu miss(es), %llu stored, "
-                   "%llu failure(s)\n",
-                   static_cast<unsigned long long>(cs.hits),
-                   static_cast<unsigned long long>(cs.misses),
-                   static_cast<unsigned long long>(cs.stored),
-                   static_cast<unsigned long long>(cs.failures));
-      if (!cache_stats_path.empty())
-        io::emit_document(cache_stats_path, cache_stats_json(*store));
-    }
     for (const auto& cell : result.cells) {
       if (!cell.authenticated) continue;
       for (const auto& e : cell.escapes) {
@@ -241,15 +139,7 @@ int main(int argc, char** argv) {
                      min.c_str());
       }
     }
-
-    if (!json_path.empty()) {
-      io::emit_document(json_path, campaign::to_json(result));
-      if (json_path != "-")
-        std::fprintf(log, "wrote %s\n", json_path.c_str());
-    }
+    tool.finish([&] { return campaign::to_json(result); });
     return result.authenticated_clean() ? 0 : 1;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "sofia_attack: %s\n", e.what());
-    return 2;
-  }
+  });
 }
