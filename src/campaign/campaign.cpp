@@ -625,13 +625,13 @@ std::string merge_json(const std::vector<std::string>& documents) {
   spec.name = head.string_at("campaign", head_label);
   const auto& victim = head.string_at("victim", head_label);
   spec.workload = victim == "builtin" ? "" : victim;
-  spec.size = static_cast<std::uint32_t>(head.uint_at("size", head_label));
+  spec.size = head.narrow_uint_at<std::uint32_t>("size", head_label);
   spec.backend = head.string_at("backend", head_label);
   spec.seed = head.uint_at("seed", head_label);
   spec.donor_omega =
-      static_cast<std::uint16_t>(head.uint_at("donor_omega", head_label));
+      head.narrow_uint_at<std::uint16_t>("donor_omega", head_label);
   spec.jobs_per_cell =
-      static_cast<std::uint32_t>(head.uint_at("jobs_per_cell", head_label));
+      head.narrow_uint_at<std::uint32_t>("jobs_per_cell", head_label);
 
   std::vector<bool> shard_seen;
   for (std::size_t d = 0; d < parsed.size(); ++d) {

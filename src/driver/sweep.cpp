@@ -212,9 +212,9 @@ bool decode_job_payload(const std::string& payload, JobResult& r) {
       const auto& m = doc.at("m", kPayload);
       out.m.name = m.string_at("name", kPayload);
       out.m.vanilla_text_bytes =
-          static_cast<std::uint32_t>(m.uint_at("vanilla_text_bytes", kPayload));
+          m.narrow_uint_at<std::uint32_t>("vanilla_text_bytes", kPayload);
       out.m.sofia_text_bytes =
-          static_cast<std::uint32_t>(m.uint_at("sofia_text_bytes", kPayload));
+          m.narrow_uint_at<std::uint32_t>("sofia_text_bytes", kPayload);
       out.m.vanilla_cycles = m.uint_at("vanilla_cycles", kPayload);
       out.m.sofia_cycles = m.uint_at("sofia_cycles", kPayload);
       out.m.vanilla_stats = stats_from_json(m.at("vanilla_stats", kPayload));

@@ -350,11 +350,16 @@ const std::string& Value::as_string(std::string_view context) const {
 std::uint64_t Value::as_uint(std::string_view context) const {
   if (kind != Kind::kNumber)
     throw Error("json: " + std::string(context) + " is not a number");
+  // strtoull accepts a leading '-' and wraps it ("-1" reads as 2^64 - 1),
+  // so the text must start with a digit.
+  const auto not_unsigned = [&] {
+    return Error("json: " + std::string(context) + " is not an unsigned integer");
+  };
+  if (number.empty() || number[0] < '0' || number[0] > '9') throw not_unsigned();
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(number.c_str(), &end, 10);
-  if (errno != 0 || end != number.c_str() + number.size())
-    throw Error("json: " + std::string(context) + " is not an unsigned integer");
+  if (errno != 0 || end != number.c_str() + number.size()) throw not_unsigned();
   return v;
 }
 

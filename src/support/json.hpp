@@ -11,9 +11,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/error.hpp"
 
 namespace sofia::json {
 
@@ -108,6 +111,18 @@ struct Value {
   }
   std::uint64_t uint_at(std::string_view key, std::string_view context) const {
     return at(key, context).as_uint(key);
+  }
+  /// uint_at() for a member held in a narrower field: throws sofia::Error
+  /// "<context>: '<key>' = <v> is out of range" when it does not fit T,
+  /// instead of truncating it.
+  template <typename T>
+  T narrow_uint_at(std::string_view key, std::string_view context) const {
+    const std::uint64_t v = uint_at(key, context);
+    if (v > std::numeric_limits<T>::max())
+      throw Error(std::string(context) + ": '" + std::string(key) +
+                  "' = " + std::to_string(v) + " is out of range (max " +
+                  std::to_string(std::numeric_limits<T>::max()) + ")");
+    return static_cast<T>(v);
   }
   std::int64_t int_at(std::string_view key, std::string_view context) const {
     return at(key, context).as_int(key);

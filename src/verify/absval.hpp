@@ -21,12 +21,20 @@
 // section" / "inside the data section" facts that plain interval widening
 // would blow straight past. Arithmetic that can wrap 2^32 goes to top
 // rather than modelling wraparound.
+//
+// A value is held inline and never allocates: the constant set lives in a
+// fixed array of kMaxConsts words, and an interval's lo/hi/stride reuse
+// its first three slots. Joins and pairwise products build into a stack
+// buffer before collapsing, so the worklist copies and compares states as
+// plain memory.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace sofia::verify {
@@ -48,7 +56,8 @@ class AbsVal {
   static AbsVal constant(std::uint32_t c) {
     AbsVal v;
     v.kind_ = Kind::kConsts;
-    v.consts_ = {c};
+    v.n_ = 1;
+    v.w_[0] = c;
     return v;
   }
   /// The set {lo, lo+stride, ..., hi}; requires lo <= hi and
@@ -58,36 +67,29 @@ class AbsVal {
     if (lo == hi) return constant(lo);
     AbsVal v;
     v.kind_ = Kind::kInterval;
-    v.lo_ = lo;
-    v.hi_ = hi;
-    v.stride_ = stride == 0 ? 1 : stride;
+    v.w_[kLo] = lo;
+    v.w_[kHi] = hi;
+    v.w_[kStride] = stride == 0 ? 1 : stride;
     return v;
   }
   static AbsVal consts(std::vector<std::uint32_t> values) {
     std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    if (values.empty()) return bottom();
-    if (values.size() > kMaxConsts) return hull(values);
-    AbsVal v;
-    v.kind_ = Kind::kConsts;
-    v.consts_ = std::move(values);
-    return v;
+    const auto end = std::unique(values.begin(), values.end());
+    return from_sorted({values.begin(), end});
   }
 
   bool is_bottom() const { return kind_ == Kind::kBottom; }
   bool is_top() const { return kind_ == Kind::kTop; }
   /// A single known value, if this is exactly one constant.
   std::optional<std::uint32_t> as_constant() const {
-    if (kind_ == Kind::kConsts && consts_.size() == 1) return consts_[0];
+    if (kind_ == Kind::kConsts && n_ == 1) return w_[0];
     return std::nullopt;
   }
 
   /// Smallest / largest concrete value (valid unless bottom/top).
-  std::uint32_t min() const {
-    return kind_ == Kind::kConsts ? consts_.front() : lo_;
-  }
+  std::uint32_t min() const { return w_[0]; }  // first member, or lo
   std::uint32_t max() const {
-    return kind_ == Kind::kConsts ? consts_.back() : hi_;
+    return kind_ == Kind::kConsts ? w_[n_ - 1] : w_[kHi];
   }
 
   /// Enumerate every concrete value when the set is finite and holds at
@@ -95,16 +97,16 @@ class AbsVal {
   std::optional<std::vector<std::uint32_t>> enumerate(
       std::size_t max_count) const {
     if (kind_ == Kind::kConsts) {
-      if (consts_.size() > max_count) return std::nullopt;
-      return consts_;
+      if (n_ > max_count) return std::nullopt;
+      return std::vector<std::uint32_t>(set().begin(), set().end());
     }
     if (kind_ != Kind::kInterval) return std::nullopt;
     const std::uint64_t count =
-        (std::uint64_t{hi_} - lo_) / stride_ + 1;
+        (std::uint64_t{hi()} - lo()) / stride() + 1;
     if (count > max_count) return std::nullopt;
     std::vector<std::uint32_t> out;
     out.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t v = lo_; v <= hi_; v += stride_)
+    for (std::uint64_t v = lo(); v <= hi(); v += stride())
       out.push_back(static_cast<std::uint32_t>(v));
     return out;
   }
@@ -125,14 +127,14 @@ class AbsVal {
       case Kind::kBottom:
       case Kind::kTop: return false;
       case Kind::kConsts:
-        return std::none_of(consts_.begin(), consts_.end(),
+        return std::none_of(set().begin(), set().end(),
                             [&](std::uint32_t c) { return c >= lo && c < hi; });
       case Kind::kInterval:
-        if (hi_ < lo || lo_ >= hi) return true;
-        if (stride_ > 1) {
+        if (max() < lo || min() >= hi) return true;
+        if (stride() > 1) {
           // Walkable gap check only when cheap; otherwise conservatively
           // assume the interval touches the range.
-          for (std::uint64_t v = lo_; v <= hi_; v += stride_)
+          for (std::uint64_t v = min(); v <= max(); v += stride())
             if (v >= lo && v < hi) return false;
           return true;
         }
@@ -155,9 +157,12 @@ class AbsVal {
     switch (a.kind_) {
       case Kind::kBottom:
       case Kind::kTop: return true;
-      case Kind::kConsts: return a.consts_ == b.consts_;
+      case Kind::kConsts:
+        return a.n_ == b.n_ && std::equal(a.set().begin(), a.set().end(),
+                                          b.w_.begin());
       case Kind::kInterval:
-        return a.lo_ == b.lo_ && a.hi_ == b.hi_ && a.stride_ == b.stride_;
+        return a.lo() == b.lo() && a.hi() == b.hi() &&
+               a.stride() == b.stride();
     }
     return false;
   }
@@ -167,9 +172,12 @@ class AbsVal {
     if (b.kind_ == Kind::kBottom) return a;
     if (a.kind_ == Kind::kTop || b.kind_ == Kind::kTop) return top();
     if (a.kind_ == Kind::kConsts && b.kind_ == Kind::kConsts) {
-      std::vector<std::uint32_t> merged = a.consts_;
-      merged.insert(merged.end(), b.consts_.begin(), b.consts_.end());
-      return consts(std::move(merged));
+      // Both sets are sorted and unique, so their union is too.
+      std::array<std::uint32_t, 2 * kMaxConsts> merged;
+      const auto end = std::set_union(a.set().begin(), a.set().end(),
+                                      b.set().begin(), b.set().end(),
+                                      merged.begin());
+      return from_sorted({merged.begin(), end});
     }
     // At least one interval: hull with gcd stride.
     const std::uint32_t lo = std::min(a.min(), b.min());
@@ -225,7 +233,7 @@ class AbsVal {
     // Interval minus a constant keeps the shape when no borrow is possible.
     if (const auto c = b.as_constant(); c && a.kind_ == Kind::kInterval &&
                                         a.min() >= *c)
-      return interval(a.min() - *c, a.max() - *c, a.stride_);
+      return interval(a.min() - *c, a.max() - *c, a.stride());
     // Otherwise unsigned borrows wrap; only exact constant pairs are safe
     // to evaluate (32-bit wrap is intentional there — `addi r, r, -8`).
     return exact(a, b, [](std::uint32_t x, std::uint32_t y) { return x - y; });
@@ -258,9 +266,9 @@ class AbsVal {
     const std::uint32_t s = *c & 31;
     if (a.kind_ == Kind::kInterval) {
       // Shape-preserving shift: a stride-k interval becomes stride-(k<<s).
-      if ((std::uint64_t{a.hi_} << s) >= (std::uint64_t{1} << 32))
+      if ((std::uint64_t{a.hi()} << s) >= (std::uint64_t{1} << 32))
         return top();
-      return interval(a.lo_ << s, a.hi_ << s, a.stride_ << s);
+      return interval(a.lo() << s, a.hi() << s, a.stride() << s);
     }
     return arith(a, constant(1u << s),
                  [](std::uint64_t x, std::uint64_t y) { return x * y; });
@@ -284,18 +292,37 @@ class AbsVal {
  private:
   enum class Kind : std::uint8_t { kBottom, kConsts, kInterval, kTop };
 
+  /// Slots of w_ that hold an interval.
+  static constexpr std::size_t kLo = 0, kHi = 1, kStride = 2;
+
+  std::span<const std::uint32_t> set() const { return {w_.data(), n_}; }
+  std::uint32_t lo() const { return w_[kLo]; }
+  std::uint32_t hi() const { return w_[kHi]; }
+  std::uint32_t stride() const { return w_[kStride]; }
+
   std::uint32_t stride_of() const {
-    if (kind_ == Kind::kInterval) return stride_;
-    if (kind_ == Kind::kConsts && consts_.size() >= 2) {
+    if (kind_ == Kind::kInterval) return stride();
+    if (kind_ == Kind::kConsts && n_ >= 2) {
       std::uint32_t g = 0;
-      for (std::size_t i = 1; i < consts_.size(); ++i)
-        g = std::gcd(g, consts_[i] - consts_[i - 1]);
+      for (std::size_t i = 1; i < n_; ++i) g = std::gcd(g, w_[i] - w_[i - 1]);
       return g == 0 ? 1 : g;
     }
     return 1;  // single constant: any stride divides a point
   }
 
-  static AbsVal hull(const std::vector<std::uint32_t>& sorted) {
+  /// The value of a sorted, duplicate-free member list: bottom when empty,
+  /// the gcd-stride hull past kMaxConsts members, the set otherwise.
+  static AbsVal from_sorted(std::span<const std::uint32_t> sorted) {
+    if (sorted.empty()) return bottom();
+    if (sorted.size() > kMaxConsts) return hull(sorted);
+    AbsVal v;
+    v.kind_ = Kind::kConsts;
+    v.n_ = static_cast<std::uint8_t>(sorted.size());
+    std::copy(sorted.begin(), sorted.end(), v.w_.begin());
+    return v;
+  }
+
+  static AbsVal hull(std::span<const std::uint32_t> sorted) {
     std::uint32_t g = 0;
     for (std::size_t i = 1; i < sorted.size(); ++i)
       g = std::gcd(g, sorted[i] - sorted[i - 1]);
@@ -307,11 +334,13 @@ class AbsVal {
   static AbsVal exact(const AbsVal& a, const AbsVal& b, F f) {
     if (a.kind_ == Kind::kBottom || b.kind_ == Kind::kBottom) return bottom();
     if (a.kind_ != Kind::kConsts || b.kind_ != Kind::kConsts) return top();
-    std::vector<std::uint32_t> out;
-    out.reserve(a.consts_.size() * b.consts_.size());
-    for (const std::uint32_t x : a.consts_)
-      for (const std::uint32_t y : b.consts_) out.push_back(f(x, y));
-    return consts(std::move(out));
+    std::array<std::uint32_t, kMaxConsts * kMaxConsts> out;
+    std::size_t n = 0;
+    for (const std::uint32_t x : a.set())
+      for (const std::uint32_t y : b.set()) out[n++] = f(x, y);
+    std::sort(out.begin(), out.begin() + n);
+    const auto end = std::unique(out.begin(), out.begin() + n);
+    return from_sorted({out.begin(), end});
   }
 
   /// Monotone unsigned arithmetic in 64 bits; a result past 2^32 (i.e. a
@@ -336,9 +365,12 @@ class AbsVal {
     return interval(lo, hi, stride == 0 ? 1 : stride);
   }
 
+  /// kConsts: the first n_ words, sorted and unique. kInterval: lo, hi
+  /// and stride at kLo/kHi/kStride. Zero otherwise, so min() and max() of
+  /// bottom and top read 0.
+  std::array<std::uint32_t, kMaxConsts> w_{};
   Kind kind_ = Kind::kBottom;
-  std::vector<std::uint32_t> consts_;  ///< sorted, unique (kConsts)
-  std::uint32_t lo_ = 0, hi_ = 0, stride_ = 1;  ///< (kInterval)
+  std::uint8_t n_ = 0;  ///< set size (kConsts)
 };
 
 }  // namespace sofia::verify

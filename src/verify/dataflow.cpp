@@ -45,7 +45,8 @@ class Engine {
         b_(m.policy.words_per_block),
         text_base_word_(m.text_base / 4),
         data_limit_(m.data_base +
-                    static_cast<std::uint32_t>(m.data.size())) {
+                    static_cast<std::uint32_t>(m.data.size())),
+        dirty_(m.data.size(), false) {
     // Decode every block once; an undecodable or missing word simply
     // havocs the state at that point (check_static attributes it).
     code_.resize(m_.blocks.size());
@@ -107,8 +108,9 @@ class Engine {
 
   // ---- load resolution -----------------------------------------------------
 
+  /// `addr` lies inside the data section (load_value checks first).
   bool byte_dirty(std::uint32_t addr) const {
-    return dirty_all_ || dirty_.count(addr) != 0;
+    return dirty_all_ || dirty_[addr - m_.data_base];
   }
 
   std::uint32_t read_init(std::uint32_t addr, std::uint8_t size) const {
@@ -285,6 +287,11 @@ class Engine {
     bool changed = false;
     const bool widen = joins_[to] >= kWidenAfter;
     for (unsigned r = 0; r < isa::kNumRegs; ++r) {
+      // join(a, a) == a for every kind (an interval's stride is
+      // gcd(s, s, 0) = s), and widen returns prev when the join equals it,
+      // so an equal operand can never change the entry: skipping it leaves
+      // every state, join count and the worklist order exactly as they were.
+      if (incoming[r] == cur[r]) continue;
       AbsVal next = widen ? AbsVal::widen(cur[r], incoming[r], thresholds_)
                           : AbsVal::join(cur[r], incoming[r]);
       if (!(next == cur[r])) {
@@ -383,8 +390,10 @@ class Engine {
         for (std::uint8_t k = 0; k < st.size; ++k) {
           const std::uint32_t byte = a + k;
           if (byte >= m_.data_base && byte < data_limit_ &&
-              dirty_.insert(byte).second)
+              !dirty_[byte - m_.data_base]) {
+            dirty_[byte - m_.data_base] = true;
             grew = true;
+          }
         }
     }
     return grew;
@@ -403,7 +412,8 @@ class Engine {
   std::vector<std::uint32_t> joins_;
   std::vector<std::uint32_t> worklist_;
 
-  std::set<std::uint32_t> dirty_;  ///< dirty initial-data byte addresses
+  /// Dirty initial-data bytes, indexed by address - data_base.
+  std::vector<bool> dirty_;
   bool dirty_all_ = false;
   std::uint64_t transfers_ = 0;
 };

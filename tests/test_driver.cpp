@@ -4,8 +4,14 @@
 // any thread count.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <unistd.h>
 
+#include <cmath>
+#include <filesystem>
+#include <regex>
+
+#include "cache/result_store.hpp"
+#include "campaign/campaign.hpp"
 #include "driver/sweep.hpp"
 #include "support/json.hpp"
 
@@ -262,6 +268,125 @@ TEST(Json, ParseRejectsMalformedInput) {
   std::string objects;
   for (int i = 0; i < 200000; ++i) objects += "{\"a\": ";
   EXPECT_THROW(json::parse(objects), Error);
+}
+
+TEST(Json, AsUintRejectsNegativeNumbers) {
+  // strtoull reads "-1" as 2^64 - 1; an unsigned member must start with a
+  // digit instead.
+  EXPECT_EQ(json::parse("18446744073709551615").as_uint("n"),
+            18446744073709551615u);
+  EXPECT_EQ(json::parse("0").as_uint("n"), 0u);
+  for (const char* text : {"-1", "-0", "-18446744073709551615", "1.5",
+                           "18446744073709551616"}) {
+    try {
+      json::parse(text).as_uint("n");
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("n is not an unsigned integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// `text` with every `"member": <number>` set to `value`.
+std::string with_member(const std::string& text, const std::string& member,
+                        const std::string& value) {
+  return std::regex_replace(text, std::regex("\"" + member + "\": *[0-9]+"),
+                            "\"" + member + "\": " + value);
+}
+
+class CampaignMergeHeader : public ::testing::Test {
+ protected:
+  static const std::vector<std::string>& shards() {
+    static const std::vector<std::string> docs = [] {
+      auto spec = campaign::smoke(campaign::default_campaign());
+      spec.jobs_per_cell = 2;
+      return std::vector<std::string>{
+          campaign::to_json(campaign::run_campaign(spec, 1, {}, {0, 2})),
+          campaign::to_json(campaign::run_campaign(spec, 1, {}, {1, 2}))};
+    }();
+    return docs;
+  }
+
+  /// Both shards with one header member set to `value` (both, so they
+  /// still agree and the range check is what rejects them): the merge must
+  /// throw an error naming the member and document 0.
+  static void expect_rejected(const std::string& member,
+                              const std::string& value) {
+    const auto& docs = shards();
+    try {
+      campaign::merge_json({with_member(docs[0], member, value),
+                            with_member(docs[1], member, value)});
+      ADD_FAILURE() << member << ": merged without error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("merge: document 0: '" + member + "' = " + value +
+                          " is out of range"),
+                std::string::npos)
+          << what;
+    }
+  }
+};
+
+TEST_F(CampaignMergeHeader, RejectsOutOfRangeSize) {
+  expect_rejected("size", "4294967296");
+}
+
+TEST_F(CampaignMergeHeader, RejectsOutOfRangeJobsPerCell) {
+  expect_rejected("jobs_per_cell", "4294967296");
+}
+
+TEST_F(CampaignMergeHeader, RejectsOutOfRangeDonorOmega) {
+  // 118797 would otherwise merge as 118797 mod 2^16 = 53261.
+  expect_rejected("donor_omega", "118797");
+}
+
+/// Cache every job of a small sweep, rewrite each stored payload's
+/// `member` to 2^32, and check that the warm run treats every entry as
+/// undecodable (re-executing it) instead of truncating the value.
+void expect_payload_member_rejected(const std::string& member) {
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("sofia-driver-test-" + std::to_string(::getpid()) + "-" +
+                     member);
+  std::filesystem::remove_all(root);
+  driver::SweepSpec spec;
+  spec.name = "payload";
+  spec.workloads = {"fib"};
+  spec.size_divisor = 16;
+  spec.configs = {driver::paper_default_config()};
+
+  cache::ResultStore cold_store(root);
+  const auto cold = driver::run_sweep(spec, 1, {}, {}, &cold_store);
+  ASSERT_EQ(cold_store.stats().stored, cold.jobs.size());
+  for (const auto& info : cache::scan(root)) {
+    cache::Key key{};
+    for (std::size_t i = 0; i < key.size(); ++i)
+      key[i] = static_cast<std::uint8_t>(
+          std::stoul(info.key_hex.substr(2 * i, 2), nullptr, 16));
+    const auto payload = cold_store.load(key, info.kind);
+    ASSERT_TRUE(payload);
+    const auto hostile = with_member(*payload, member, "4294967296");
+    ASSERT_NE(hostile, *payload) << *payload;
+    cold_store.store(key, info.kind, hostile);
+  }
+
+  std::vector<std::string> warnings;
+  cache::ResultStore warm_store(
+      root, [&](const std::string& m) { warnings.push_back(m); });
+  const auto warm = driver::run_sweep(spec, 1, {}, {}, &warm_store);
+  EXPECT_EQ(warm.cached_jobs(), 0u);
+  EXPECT_EQ(warnings.size(), warm.jobs.size());
+  EXPECT_EQ(driver::to_json(warm), driver::to_json(cold));
+  std::filesystem::remove_all(root);
+}
+
+TEST(SweepPayload, RejectsOutOfRangeVanillaTextBytes) {
+  expect_payload_member_rejected("vanilla_text_bytes");
+}
+
+TEST(SweepPayload, RejectsOutOfRangeSofiaTextBytes) {
+  expect_payload_member_rejected("sofia_text_bytes");
 }
 
 TEST(Shard, ParseAndValidate) {

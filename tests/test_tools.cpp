@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <string>
 
 #include "scheme/scheme.hpp"
@@ -764,6 +765,41 @@ TEST_F(Tools, MergeRejectsDeeplyNestedAndHugeCountDocuments) {
     }
   }
   for (const auto& p : {nested, huge}) std::remove(p.c_str());
+}
+
+TEST_F(Tools, AttackMergeRejectsOutOfRangeDonorOmega) {
+  // A header value too wide for its field must stop the merge, not merge
+  // truncated (118797 would otherwise read as 118797 mod 2^16 = 53261).
+  const std::string tag = std::to_string(getpid());
+  const std::string base = std::string(SOFIA_ATTACK_BIN) +
+                           " --campaign --smoke --jobs 14 --quiet --threads 1";
+  const std::string out = "/tmp/sofia_omega_" + tag + "_out.json";
+  std::vector<std::string> shards;
+  for (const char* index : {"0", "1"}) {
+    const std::string path = "/tmp/sofia_omega_" + tag + "_" + index + ".json";
+    int code = 0;
+    const auto output = run_command(
+        base + " --shard " + index + "/2 --json " + path, &code);
+    ASSERT_EQ(code, 0) << output;
+    std::ifstream in(path, std::ios::binary);
+    std::string doc{std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>()};
+    doc = std::regex_replace(doc, std::regex("\"donor_omega\": [0-9]+"),
+                             "\"donor_omega\": 118797");
+    std::ofstream(path, std::ios::binary) << doc;
+    shards.push_back(path);
+  }
+  int code = 0;
+  const auto output = run_command(std::string(SOFIA_ATTACK_BIN) + " --merge " +
+                                      out + " " + shards[0] + " " + shards[1],
+                                  &code);
+  EXPECT_EQ(code, 2) << output;
+  EXPECT_NE(output.find("sofia_attack: merge: document 0: 'donor_omega' = "
+                        "118797 is out of range"),
+            std::string::npos)
+      << output;
+  EXPECT_FALSE(std::filesystem::exists(out));
+  for (const auto& p : shards) std::remove(p.c_str());
 }
 
 TEST_F(Tools, AttackJsonDashStreamsTheDocumentToStdout) {

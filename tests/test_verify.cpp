@@ -7,14 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "pipeline/pipeline.hpp"
 #include "scheme/scheme.hpp"
 #include "sim_test_util.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "verify/absval.hpp"
+#include "verify/dataflow.hpp"
 #include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
 
@@ -698,6 +703,301 @@ TEST(ImageOnly, MetadataDefectsAreFindings) {
   EXPECT_TRUE(has_rule(report, Rule::kGeometry));
   EXPECT_TRUE(has_rule(report, Rule::kOmegaMismatch));
   EXPECT_TRUE(has_rule(report, Rule::kInvalidEntry));
+}
+
+// ---------------------------------------------------------------------------
+// The dataflow engine's facts, pinned
+// ---------------------------------------------------------------------------
+
+/// An abstract value through its public accessors only, so the rendering
+/// does not depend on how the lattice stores it.
+void render_absval(const AbsVal& v, std::string& out) {
+  if (v.is_bottom()) {
+    out += "bottom";
+    return;
+  }
+  if (v.is_top()) {
+    out += "top";
+    return;
+  }
+  out += std::to_string(v.min()) + ".." + std::to_string(v.max());
+  if (const auto members = v.enumerate(64)) {
+    out += " {";
+    for (const std::uint32_t m : *members) out += std::to_string(m) + ",";
+    out += "}";
+  }
+}
+
+TEST(Dataflow, FactsArePinned) {
+  // Every fixpoint the engine reaches on the registry (default size, seed
+  // 1): its round and transfer counts and every store and indirect-jump
+  // fact. A faster lattice or worklist must leave the digest alone; a
+  // deliberate precision change updates it in the same commit.
+  std::string rendered;
+  for (const auto& wl : workloads::all_workloads()) {
+    for (const auto& scheme_name : scheme::scheme_names()) {
+      for (const auto kind : {crypto::CipherKind::kRectangle80,
+                              crypto::CipherKind::kSpeck64_128}) {
+        auto profile = pipeline::DeviceProfile::example(kind);
+        profile.scheme = scheme_name;
+        auto session =
+            pipeline::Pipeline::from_workload(wl, 1, wl.default_size, profile);
+        const auto df = dataflow::analyze(model_of(session.hardened()));
+        rendered += wl.name + " " + scheme_name + " " +
+                    std::string(crypto::to_string(kind)) + " rounds=" +
+                    std::to_string(df.rounds) + " transfers=" +
+                    std::to_string(df.transfers) + "\n";
+        for (const auto& st : df.stores) {
+          rendered += "S " + std::to_string(st.block) + " " +
+                      std::to_string(st.word_addr) + " " +
+                      std::to_string(st.size) + " ";
+          render_absval(st.addr, rendered);
+          rendered += "\n";
+        }
+        for (const auto& ind : df.indirects) {
+          rendered += "J " + std::to_string(ind.block) + " " +
+                      std::to_string(ind.word_addr) + " ";
+          render_absval(ind.target, rendered);
+          rendered += "\n";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(support::sha256_hex(rendered),
+            "b789946e450ce87adcf621a6f5b869fda9de38abdda3bb5e1eeffc5ce1017a8b");
+}
+
+// ---------------------------------------------------------------------------
+// The abstract-value lattice: seeded property tests
+// ---------------------------------------------------------------------------
+
+/// A random operand and the concrete values it stands for, so the checks
+/// can draw members without reading the lattice's storage.
+struct Operand {
+  enum class Shape { kBottom, kTop, kSet, kInterval };
+  Shape shape = Shape::kBottom;
+  AbsVal v;
+  std::vector<std::uint32_t> set;            ///< kSet: what consts() got
+  std::uint32_t lo = 0, hi = 0, stride = 1;  ///< kInterval
+};
+
+/// Bases near the section thresholds the engine widens to, and near 2^32
+/// where unsigned arithmetic wraps.
+constexpr std::uint32_t kBases[] = {0u,       0x100u,      0x4000u,
+                                    0x10000u, 0x20000u,    0x7FFFF000u,
+                                    0xFFFFFF00u};
+const std::vector<std::uint32_t> kThresholds = {0u, 0x4000u, 0x10000u,
+                                                0x20000u, 0x7FFFF000u};
+
+std::uint32_t near_base(Rng& rng) {
+  return kBases[rng.next_below(std::size(kBases))] +
+         static_cast<std::uint32_t>(rng.next_below(256));
+}
+
+Operand random_operand(Rng& rng) {
+  Operand op;
+  switch (rng.next_below(8)) {
+    case 0:
+      op.shape = Operand::Shape::kBottom;
+      op.v = AbsVal::bottom();
+      break;
+    case 1:
+      op.shape = Operand::Shape::kTop;
+      op.v = AbsVal::top();
+      break;
+    case 2:
+    case 3:
+    case 4: {
+      // 1..16 members, half of them on a common stride from one base, so
+      // joins and pairwise products often grow past kMaxConsts.
+      op.shape = Operand::Shape::kSet;
+      const std::size_t n = 1 + rng.next_below(AbsVal::kMaxConsts);
+      const std::uint32_t base = near_base(rng);
+      const std::uint32_t stride = 1u << rng.next_below(4);
+      const bool strided = rng.next_bool();
+      for (std::size_t i = 0; i < n; ++i)
+        op.set.push_back(strided ? base + stride * static_cast<std::uint32_t>(
+                                                       rng.next_below(32))
+                                 : near_base(rng));
+      op.v = AbsVal::consts(op.set);
+      break;
+    }
+    default: {
+      op.shape = Operand::Shape::kInterval;
+      op.lo = near_base(rng);
+      op.stride = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+      const std::uint32_t room = (0xFFFFFFFFu - op.lo) / op.stride;
+      const auto steps = std::min<std::uint32_t>(
+          room, 1 + static_cast<std::uint32_t>(rng.next_below(64)));
+      op.hi = op.lo + op.stride * steps;
+      op.v = AbsVal::interval(op.lo, op.hi, op.stride);
+      break;
+    }
+  }
+  return op;
+}
+
+/// One concrete member of a non-bottom operand.
+std::uint32_t sample(const Operand& op, Rng& rng) {
+  switch (op.shape) {
+    case Operand::Shape::kSet:
+      return op.set[rng.next_below(op.set.size())];
+    case Operand::Shape::kInterval:
+      return op.lo + op.stride * static_cast<std::uint32_t>(rng.next_below(
+                                     (op.hi - op.lo) / op.stride + 1));
+    default:
+      return rng.next_bool() ? near_base(rng) : rng.next_u32();
+  }
+}
+
+/// x lies in the concretization of v: exact when v enumerates within the
+/// budget, the [min, max] hull otherwise.
+bool contains(const AbsVal& v, std::uint32_t x) {
+  if (v.is_top()) return true;
+  if (v.is_bottom() || x < v.min() || x > v.max()) return false;
+  if (const auto members = v.enumerate(4096))
+    return std::binary_search(members->begin(), members->end(), x);
+  return true;
+}
+
+std::vector<std::uint32_t> sorted_unique(std::vector<std::uint32_t> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+/// {min, min + g, ..., max} with g the gcd of the gaps of a sorted set.
+AbsVal gcd_hull(const std::vector<std::uint32_t>& sorted) {
+  std::uint32_t g = 0;
+  for (std::size_t i = 1; i < sorted.size(); ++i)
+    g = std::gcd(g, sorted[i] - sorted[i - 1]);
+  return AbsVal::interval(sorted.front(), sorted.back(), g);
+}
+
+constexpr int kLatticeCases = 3000;
+
+TEST(AbsVal, JoinIsCommutativeIdempotentAndAnUpperBound) {
+  Rng rng(18);
+  for (int i = 0; i < kLatticeCases; ++i) {
+    const Operand a = random_operand(rng);
+    const Operand b = random_operand(rng);
+    const AbsVal j = AbsVal::join(a.v, b.v);
+    ASSERT_TRUE(j == AbsVal::join(b.v, a.v)) << "case " << i;
+    // The invariant the worklist's equal-operand fast path rests on.
+    ASSERT_TRUE(AbsVal::join(a.v, a.v) == a.v) << "case " << i;
+    for (const Operand* op : {&a, &b}) {
+      if (op->shape == Operand::Shape::kBottom) continue;
+      for (int k = 0; k < 8; ++k) {
+        const std::uint32_t x = sample(*op, rng);
+        ASSERT_TRUE(contains(j, x)) << "case " << i << " member " << x;
+      }
+    }
+  }
+}
+
+TEST(AbsVal, WidenOfEqualOperandsIsIdentityAndWidenIsAnUpperBound) {
+  Rng rng(19);
+  for (int i = 0; i < kLatticeCases; ++i) {
+    const Operand a = random_operand(rng);
+    const Operand b = random_operand(rng);
+    ASSERT_TRUE(AbsVal::widen(a.v, a.v, kThresholds) == a.v) << "case " << i;
+    const AbsVal w = AbsVal::widen(a.v, b.v, kThresholds);
+    for (const Operand* op : {&a, &b}) {
+      if (op->shape == Operand::Shape::kBottom) continue;
+      for (int k = 0; k < 8; ++k) {
+        const std::uint32_t x = sample(*op, rng);
+        ASSERT_TRUE(contains(w, x)) << "case " << i << " member " << x;
+      }
+    }
+  }
+}
+
+TEST(AbsVal, TransferFunctionsAreConcretelySound) {
+  struct Op {
+    const char* name;
+    AbsVal (*abstract)(const AbsVal&, const AbsVal&);
+    std::uint32_t (*concrete)(std::uint32_t, std::uint32_t);
+  };
+  const Op ops[] = {
+      {"add", AbsVal::add, [](std::uint32_t x, std::uint32_t y) { return x + y; }},
+      {"sub", AbsVal::sub, [](std::uint32_t x, std::uint32_t y) { return x - y; }},
+      {"mul", AbsVal::mul, [](std::uint32_t x, std::uint32_t y) { return x * y; }},
+      {"and", AbsVal::and_, [](std::uint32_t x, std::uint32_t y) { return x & y; }},
+      {"or", AbsVal::or_, [](std::uint32_t x, std::uint32_t y) { return x | y; }},
+      {"xor", AbsVal::xor_, [](std::uint32_t x, std::uint32_t y) { return x ^ y; }},
+      {"shl", AbsVal::shl,
+       [](std::uint32_t x, std::uint32_t y) { return x << (y & 31); }},
+      {"shr", AbsVal::shr,
+       [](std::uint32_t x, std::uint32_t y) { return x >> (y & 31); }},
+  };
+  Rng rng(20);
+  for (int i = 0; i < kLatticeCases; ++i) {
+    const Operand a = random_operand(rng);
+    Operand b = random_operand(rng);
+    // Shifts by a small constant exercise the shape-preserving paths.
+    if (rng.next_bool(0.25)) {
+      b.shape = Operand::Shape::kSet;
+      b.set = {static_cast<std::uint32_t>(rng.next_below(32))};
+      b.v = AbsVal::constant(b.set[0]);
+    }
+    for (const Op& op : ops) {
+      const AbsVal r = op.abstract(a.v, b.v);
+      if (a.shape == Operand::Shape::kBottom ||
+          b.shape == Operand::Shape::kBottom)
+        continue;
+      for (int k = 0; k < 8; ++k) {
+        const std::uint32_t x = sample(a, rng);
+        const std::uint32_t y = sample(b, rng);
+        ASSERT_TRUE(contains(r, op.concrete(x, y)))
+            << "case " << i << ": " << x << " " << op.name << " " << y;
+      }
+    }
+  }
+}
+
+TEST(AbsVal, MoreThanMaxConstsCollapseToTheGcdStrideHull) {
+  Rng rng(21);
+  for (int i = 0; i < kLatticeCases; ++i) {
+    std::vector<std::uint32_t> values;
+    const std::size_t n = AbsVal::kMaxConsts + 1 + rng.next_below(40);
+    const std::uint32_t base = near_base(rng) & 0xFFFFu;
+    const std::uint32_t stride = 1 + static_cast<std::uint32_t>(rng.next_below(12));
+    while (values.size() < n)
+      values.push_back(base + stride * static_cast<std::uint32_t>(
+                                           rng.next_below(4 * n)));
+    const auto unique = sorted_unique(values);
+    const AbsVal set = AbsVal::consts(values);
+    if (unique.size() <= AbsVal::kMaxConsts) {
+      const auto members = set.enumerate(AbsVal::kMaxConsts);
+      ASSERT_TRUE(members) << "case " << i;
+      EXPECT_EQ(*members, unique) << "case " << i;
+      continue;
+    }
+    ASSERT_TRUE(set == gcd_hull(unique)) << "case " << i;
+    // join and the pairwise products collapse by the same rule.
+    const std::size_t half = unique.size() / 2;
+    const std::vector<std::uint32_t> left(unique.begin(), unique.begin() + half);
+    const std::vector<std::uint32_t> right(unique.begin() + half, unique.end());
+    if (left.size() <= AbsVal::kMaxConsts &&
+        right.size() <= AbsVal::kMaxConsts) {
+      ASSERT_TRUE(AbsVal::join(AbsVal::consts(left), AbsVal::consts(right)) ==
+                  set)
+          << "case " << i;
+    }
+    const std::vector<std::uint32_t> small(unique.begin(),
+                                           unique.begin() + AbsVal::kMaxConsts);
+    const std::vector<std::uint32_t> offsets = {0u, 1u, 2u, 4u, 8u};
+    std::vector<std::uint32_t> ors;
+    for (const std::uint32_t x : small)
+      for (const std::uint32_t y : offsets) ors.push_back(x | y);
+    const auto ors_unique = sorted_unique(ors);
+    const AbsVal expected = ors_unique.size() > AbsVal::kMaxConsts
+                                ? gcd_hull(ors_unique)
+                                : AbsVal::consts(ors);
+    ASSERT_TRUE(AbsVal::or_(AbsVal::consts(small), AbsVal::consts(offsets)) ==
+                expected)
+        << "case " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
