@@ -10,8 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "scheme/scheme.hpp"
-#include "security/attacks.hpp"
+#include "security/demos.hpp"
 #include "support/cli.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
@@ -27,15 +28,32 @@ struct FlipTally {
   int breached = 0;
 };
 
+/// One named attack's run against a scheme's target.
+struct Attack {
+  std::string name;
+  sim::RunResult run;
+  bool detected = false;      ///< device reset before completing
+  bool output_clean = false;  ///< console output identical to the clean run
+};
+
 struct SchemeRow {
   std::string scheme;
   bool authenticated = false;
-  std::vector<security::AttackOutcome> attacks;
+  std::vector<Attack> attacks;
   FlipTally flips;
   int flip_trials = 0;
 };
 
-void report(std::FILE* log, const security::AttackOutcome& o) {
+Attack mount(const campaign::Target& target, const campaign::Mutation& m) {
+  Attack a;
+  a.name = m.describe();
+  a.run = target.run({m});
+  a.detected = a.run.status == sim::RunResult::Status::kReset;
+  a.output_clean = a.run.output == target.clean_run().output;
+  return a;
+}
+
+void report(std::FILE* log, const Attack& o) {
   std::fprintf(log, "%-44s %-10s %-16s %8llu\n", o.name.c_str(),
               o.detected ? "yes" : (o.output_clean ? "no effect" : "NO"),
               o.detected ? std::string(to_string(o.run.reset.cause)).c_str()
@@ -100,7 +118,8 @@ out: .word 0
 
     pipeline::DeviceProfile profile = pipeline::DeviceProfile::with_keys(keys);
     profile.scheme = row.scheme;
-    security::AttackHarness harness(victim, profile);
+    // Cross-version splices graft from the same victim sealed under 0xBEEF.
+    const auto target = campaign::Target::from_source(victim, profile, 0xBEEF);
 
     std::fprintf(log, "Attack matrix on the SOFIA device — scheme %s (%s)\n",
                 row.scheme.c_str(),
@@ -109,31 +128,35 @@ out: .word 0
     std::fprintf(log, "%-44s %-10s %-16s %8s\n", "attack", "detected", "cause",
                 "at cycle");
     bench::print_rule(log, 86);
-    row.attacks.push_back(harness.flip_bit(2, 9));
-    row.attacks.push_back(harness.flip_bit(0, 30));
-    row.attacks.push_back(harness.patch_word(4, 0x34000001));
-    row.attacks.push_back(harness.relocate_word(3, 11));
-    row.attacks.push_back(harness.splice_block(0, 2));
-    row.attacks.push_back(harness.cross_version_splice(0xBEEF, 1));
+    using campaign::MutationKind;
+    for (const campaign::Mutation& m : {
+             campaign::Mutation{MutationKind::kBitFlip, 2, 9},
+             campaign::Mutation{MutationKind::kBitFlip, 0, 30},
+             campaign::Mutation{MutationKind::kWordPatch, 4, 0x34000001},
+             campaign::Mutation{MutationKind::kWordRelocate, 3, 11},
+             campaign::Mutation{MutationKind::kBlockSplice, 0, 2},
+             campaign::Mutation{MutationKind::kCrossVersionSplice, 1},
+         })
+      row.attacks.push_back(mount(target, m));
     for (const auto& o : row.attacks) report(log, o);
 
     Rng rng(42);  // fresh per scheme: rows are independent of scheme order
-    const auto flips =
-        harness.random_bit_flips(rng, static_cast<int>(flip_count));
-    for (const auto& o : flips) {
-      if (o.detected)
-        ++row.flips.detected;
-      else if (o.output_clean)
-        ++row.flips.harmless;
-      else
-        ++row.flips.breached;
+    for (std::uint32_t i = 0; i < flip_count; ++i) {
+      const std::uint64_t word = rng.next_below(target.image().text.size());
+      const auto run =
+          target.run({{MutationKind::kBitFlip, word, rng.next_below(32)}});
+      switch (campaign::classify(run, target.clean_run().output)) {
+        case campaign::TrialClass::kDetected: ++row.flips.detected; break;
+        case campaign::TrialClass::kHarmless: ++row.flips.harmless; break;
+        case campaign::TrialClass::kEscaped: ++row.flips.breached; break;
+      }
     }
     bench::print_rule(log, 86);
-    std::fprintf(log, 
+    std::fprintf(log,
         "random single-bit flips: %d detected, %d dead-code (no effect), "
-        "%d breached / %zu%s\n\n",
+        "%d breached / %u%s\n\n",
         row.flips.detected, row.flips.harmless, row.flips.breached,
-        flips.size(),
+        flip_count,
         row.authenticated ? "" : "  (breaches expected: no verification)");
     if (row.authenticated) auth_breached += row.flips.breached;
     rows.push_back(std::move(row));

@@ -57,9 +57,6 @@ table: .word inc, dec
 out: .word 0
 )";
 
-/// Tampered runs can loop on garbage; every trial gets a bounded budget.
-constexpr std::uint64_t kTrialBudget = 10'000'000;
-
 }  // namespace
 
 std::string CellSpec::label() const {
@@ -227,28 +224,6 @@ EscapeRecord escape_from_json(const json::Value& v, std::string_view context) {
 
 namespace {
 
-/// One matrix cell's prepared attack surface: the victim transformed once,
-/// the donor build for cross-version splices, the clean-run baseline and
-/// the static-lint reference. All trial-time access is const.
-struct Fixture {
-  std::unique_ptr<pipeline::Pipeline> session;
-  assembler::LoadImage base_image;
-  std::string clean_output;
-  verify::ProgramModel model;
-  verify::DeviceSpec device_spec;
-  assembler::LoadImage donor;
-  ImageGeometry geometry;
-  sim::SimConfig base_config;
-  /// Digest over the cell's whole attack surface (profile fingerprint,
-  /// base + donor image bytes, canonical SimConfig encoding, campaign
-  /// seed) — the per-trial cache key is (this, global job index).
-  std::string cache_digest;
-
-  /// Built per call (never stored): a stored donor pointer would dangle
-  /// the moment the fixture moves into its slot.
-  ApplyContext ctx() const { return {geometry.words_per_block, &donor}; }
-};
-
 pipeline::DeviceProfile cell_profile(const CampaignSpec& spec,
                                      const CellSpec& cell) {
   auto profile = pipeline::DeviceProfile::from_seed(cell.cipher, spec.seed);
@@ -258,89 +233,120 @@ pipeline::DeviceProfile cell_profile(const CampaignSpec& spec,
   return profile;
 }
 
-std::unique_ptr<pipeline::Pipeline> victim_session(
-    const CampaignSpec& spec, const pipeline::DeviceProfile& profile,
-    const std::string& name) {
-  if (spec.workload.empty()) {
-    return std::make_unique<pipeline::Pipeline>(
-        pipeline::Pipeline::from_source(kBuiltinVictim, profile, name));
-  }
-  const auto& wl = workloads::workload(spec.workload);
-  const std::uint32_t size = spec.size != 0 ? spec.size : wl.default_size;
-  return std::make_unique<pipeline::Pipeline>(
-      pipeline::Pipeline::from_workload(wl, spec.seed, size, profile));
-}
+}  // namespace
 
-Fixture make_fixture(const CampaignSpec& spec, const CellSpec& cell) {
-  Fixture fx;
-  const auto profile = cell_profile(spec, cell);
-  fx.session = victim_session(spec, profile, "campaign-victim");
+Target::Target(const SessionFactory& make,
+               const pipeline::DeviceProfile& profile,
+               std::uint16_t donor_omega, const std::string& label) {
+  session_ = make(profile, "victim");
   sim::SimConfig config;
   config.max_cycles = kTrialBudget;
-  fx.session->set_sim_config(config);
+  session_->set_sim_config(config);
 
-  fx.base_image = fx.session->hardened().image;
-  const auto& clean = fx.session->run();
-  if (!clean.ok())
-    throw Error("campaign[" + cell.label() + "]: clean run failed: " +
-                std::string(to_string(clean.status)));
-  fx.clean_output = clean.output;
-  fx.model = verify::model_of(fx.session->hardened());
-  fx.device_spec = fx.session->device_spec();
+  image_ = session_->hardened().image;
+  clean_ = session_->run();
+  if (!clean_.ok())
+    throw Error(label + ": clean run failed: " +
+                std::string(to_string(clean_.status)));
+  model_ = verify::model_of(session_->hardened());
+  device_spec_ = session_->device_spec();
 
   // The donor: the same program sealed under another version nonce (the
   // cross-version replay's ingredient). Built through its own session so
   // the toolchain stages stay byte-faithful to a real rollout.
   auto donor_profile = profile;
-  donor_profile.omega_override = spec.donor_omega;
-  auto donor_session = victim_session(spec, donor_profile, "campaign-donor");
-  fx.donor = donor_session->hardened().image;
+  donor_profile.omega_override = donor_omega;
+  donor_ = make(donor_profile, "donor")->hardened().image;
 
-  fx.geometry.text_words = static_cast<std::uint32_t>(fx.base_image.text.size());
-  fx.geometry.words_per_block = profile.policy.words_per_block;
-  fx.geometry.text_base = fx.base_image.text_base;
+  geometry_.text_words = static_cast<std::uint32_t>(image_.text.size());
+  geometry_.words_per_block = profile.policy.words_per_block;
+  geometry_.text_base = image_.text_base;
   // The retarget surface: the union of every declared indirect target set,
   // and the aligned data words initially holding one of those addresses
   // (the dispatch slots a surviving jalr reads its target from). Both stay
   // empty under schemes that devirtualize indirect jumps.
   std::vector<std::uint32_t> targets;
-  for (const auto& blk : fx.model.blocks)
+  for (const auto& blk : model_.blocks)
     targets.insert(targets.end(), blk.jalr_targets.begin(),
                    blk.jalr_targets.end());
   std::sort(targets.begin(), targets.end());
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-  fx.geometry.indirect_targets = std::move(targets);
-  if (!fx.geometry.indirect_targets.empty()) {
-    const auto& data = fx.base_image.data;
+  geometry_.indirect_targets = std::move(targets);
+  if (!geometry_.indirect_targets.empty()) {
+    const auto& data = image_.data;
     for (std::uint32_t off = 0; off + 4 <= data.size(); off += 4) {
       std::uint32_t value = 0;
       for (std::uint32_t j = 0; j < 4; ++j)
         value |= static_cast<std::uint32_t>(data[off + j]) << (8 * j);
-      if (std::binary_search(fx.geometry.indirect_targets.begin(),
-                             fx.geometry.indirect_targets.end(), value))
-        fx.geometry.dispatch_slots.push_back(off);
+      if (std::binary_search(geometry_.indirect_targets.begin(),
+                             geometry_.indirect_targets.end(), value))
+        geometry_.dispatch_slots.push_back(off);
     }
   }
-  fx.base_config = fx.session->sim_config();
-
-  cache::KeyBuilder kb("sofia-cache-key-v1/campaign-fixture");
-  kb.field("profile", profile.fingerprint());
-  kb.field("base_image", assembler::serialize_image(fx.base_image));
-  kb.field("donor", assembler::serialize_image(fx.donor));
-  kb.field("config",
-           sim::encode_config(fx.session->effective_sim_config()));
-  kb.field("seed", spec.seed);
-  fx.cache_digest = cache::to_hex(kb.finish());
-  return fx;
 }
 
-/// Apply a record to fresh copies and execute (the one trial primitive the
-/// classifier, the minimizer and the replay all share).
-sim::RunResult execute(const Fixture& fx, const MutationRecord& record) {
-  auto image = fx.base_image;
-  sim::SimConfig config = fx.base_config;
-  apply(record, image, config, fx.ctx());
-  return fx.session->run_image(image, config);
+Target Target::for_cell(const CampaignSpec& spec, const CellSpec& cell) {
+  const auto make = [&spec](const pipeline::DeviceProfile& profile,
+                            const std::string& role) {
+    if (spec.workload.empty()) {
+      return std::make_unique<pipeline::Pipeline>(
+          pipeline::Pipeline::from_source(kBuiltinVictim, profile,
+                                          "campaign-" + role));
+    }
+    const auto& wl = workloads::workload(spec.workload);
+    const std::uint32_t size = spec.size != 0 ? spec.size : wl.default_size;
+    return std::make_unique<pipeline::Pipeline>(
+        pipeline::Pipeline::from_workload(wl, spec.seed, size, profile));
+  };
+  return Target(make, cell_profile(spec, cell), spec.donor_omega,
+                "campaign[" + cell.label() + "]");
+}
+
+Target Target::from_source(std::string source, pipeline::DeviceProfile profile,
+                           std::uint16_t donor_omega) {
+  const auto make = [&source](const pipeline::DeviceProfile& p,
+                              const std::string& role) {
+    return std::make_unique<pipeline::Pipeline>(
+        pipeline::Pipeline::from_source(source, p, "attack-" + role));
+  };
+  return Target(make, profile, donor_omega, "attack victim");
+}
+
+sim::RunResult Target::run(const MutationRecord& record) const {
+  auto image = image_;
+  sim::SimConfig config = session_->sim_config();
+  apply(record, image, config, ctx());
+  return session_->run_image(image, config);
+}
+
+sim::RunResult Target::run_vanilla(const MutationRecord& record) {
+  auto image = session_->vanilla_image();
+  sim::SimConfig config = session_->sim_config();
+  apply(record, image, config, {geometry_.words_per_block, nullptr});
+  return session_->run_image(image, config);
+}
+
+std::vector<verify::Rule> Target::lint(const MutationRecord& record) const {
+  auto image = image_;
+  sim::SimConfig config = session_->sim_config();
+  apply(record, image, config, ctx());
+  return verify::error_rules(verify::lint(model_, image, device_spec_));
+}
+
+namespace {
+
+/// Digest over a cell's whole attack surface (profile fingerprint, base +
+/// donor image bytes, canonical SimConfig encoding, campaign seed) — the
+/// per-trial cache key is (this, global job index).
+std::string cell_digest(const Target& target, std::uint64_t seed) {
+  cache::KeyBuilder kb("sofia-cache-key-v1/campaign-fixture");
+  kb.field("profile", target.session().profile().fingerprint());
+  kb.field("base_image", assembler::serialize_image(target.image()));
+  kb.field("donor", assembler::serialize_image(target.donor()));
+  kb.field("config",
+           sim::encode_config(target.session().effective_sim_config()));
+  kb.field("seed", seed);
+  return cache::to_hex(kb.finish());
 }
 
 /// One trial's folded outcome (index-owned slot in the pool).
@@ -408,30 +414,27 @@ bool decode_trial_payload(const std::string& payload, Trial& t) {
 /// (replay error, backend transport loss) is an escape with the error as
 /// its status — loud in the document, never sinking the campaign — and
 /// returns false: environmental failures must retry, not be cached.
-bool execute_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
+bool execute_trial(const Target& target, std::uint64_t job, const Rng& base,
                    Trial& t) {
+  const std::string& clean_output = target.clean_run().output;
   try {
     Rng rng = base.fork(job);
-    t.record = generate_record(rng, fx.geometry);
-    const auto run = execute(fx, t.record);
-    t.cls = classify(run, fx.clean_output);
+    t.record = generate_record(rng, target.geometry());
+    const auto run = target.run(t.record);
+    t.cls = classify(run, clean_output);
     t.cause = run.reset.cause;
     t.insts = run.stats.insts;
     if (t.cls == TrialClass::kEscaped) {
       t.escape.job = job;
       t.escape.status = std::string(to_string(run.status));
-      t.escape.output_clean = run.output == fx.clean_output;
+      t.escape.output_clean = run.output == clean_output;
       t.escape.applied = t.record;
       t.escape.minimized = minimize(t.record, [&](const MutationRecord& r) {
-        return classify(execute(fx, r), fx.clean_output);
+        return classify(target.run(r), clean_output);
       });
       // Static-layer attribution: which lint rules fire on the tampered
       // image (none for pure fault schedules — those are invisible offline).
-      auto image = fx.base_image;
-      sim::SimConfig config = fx.base_config;
-      apply(t.record, image, config, fx.ctx());
-      t.escape.lint =
-          verify::error_rules(verify::lint(fx.model, image, fx.device_spec));
+      t.escape.lint = target.lint(t.record);
     }
     return true;
   } catch (const std::exception& e) {
@@ -444,21 +447,21 @@ bool execute_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
   }
 }
 
-Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
-                cache::ResultStore* store) {
+Trial run_trial(const Target& target, const std::string& digest,
+                std::uint64_t job, const Rng& base, cache::ResultStore* store) {
   Trial t;
   t.from_cache = driver::cached_job(
       store, kTrialKind, job,
       [&] {
         cache::KeyBuilder kb("sofia-cache-key-v1/campaign-trial");
-        kb.field("fixture", fx.cache_digest);
+        kb.field("fixture", digest);
         kb.field("job", job);
         return kb.finish();
       },
       [&](const std::string& payload) {
         return decode_trial_payload(payload, t);
       },
-      [&] { return execute_trial(fx, job, base, t); },
+      [&] { return execute_trial(target, job, base, t); },
       [&] { return encode_trial_payload(t); });
   return t;
 }
@@ -474,13 +477,16 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
   if (spec.jobs_per_cell == 0)
     throw Error("campaign: jobs_per_cell must be >= 1");
 
-  // Build fixtures only for cells this shard actually touches.
-  std::vector<std::unique_ptr<Fixture>> fixtures(spec.cells.size());
+  // Build targets only for cells this shard actually touches.
+  std::vector<std::unique_ptr<Target>> targets(spec.cells.size());
+  std::vector<std::string> digests(spec.cells.size());
   for (const std::uint64_t g : jobs) {
     const std::size_t cell = g / spec.jobs_per_cell;
-    if (!fixtures[cell])
-      fixtures[cell] = std::make_unique<Fixture>(
-          make_fixture(spec, spec.cells[cell]));
+    if (!targets[cell]) {
+      targets[cell] = std::make_unique<Target>(
+          Target::for_cell(spec, spec.cells[cell]));
+      digests[cell] = cell_digest(*targets[cell], spec.seed);
+    }
   }
 
   CampaignResult result;
@@ -492,9 +498,9 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
   const auto t0 = std::chrono::steady_clock::now();
   result.threads_used =
       driver::for_each_index(jobs.size(), threads, [&](std::size_t i) {
-        const std::uint64_t g = jobs[i];
-        trials[i] =
-            run_trial(*fixtures[g / spec.jobs_per_cell], g, base, store);
+        const std::size_t cell = jobs[i] / spec.jobs_per_cell;
+        trials[i] = run_trial(*targets[cell], digests[cell], jobs[i], base,
+                              store);
       });
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -1,14 +1,16 @@
 // Mutation-based adversarial campaign engine — the dynamic complement of
-// src/verify/ (PR 7's static half). Where security::AttackHarness mounts a
-// fixed menu of hand-written attacks once, a campaign generates large
-// seeded populations of tampered images, forged headers, spliced blocks
-// and fault schedules (campaign/mutation.hpp), executes them per matrix
-// cell (scheme × cipher × granularity) through the shared driver thread
-// pool, and measures the defense: detection rate, detection latency
-// (retired instructions until reset), verdict distribution, and — for any
-// trial that escapes detection — a greedily minimized, replayable
-// counterexample plus a verify::lint attribution of what the static layer
-// would have caught.
+// src/verify/. A campaign generates large seeded populations of tampered
+// images, forged headers, spliced blocks and fault schedules
+// (campaign/mutation.hpp), executes them per matrix cell (scheme × cipher
+// × granularity) through the shared driver thread pool, and measures the
+// defense: detection rate, detection latency (retired instructions until
+// reset), verdict distribution, and — for any trial that escapes
+// detection — a greedily minimized, replayable counterexample plus a
+// verify::lint attribution of what the static layer would have caught.
+//
+// Every trial runs through one primitive, Target::run(record). The one-shot
+// attacks of paper §IV-A, the ROP/JOP demos (security/demos.hpp) and the
+// fetch-fault trials are hand-written records run through the same Target.
 //
 // Determinism contract (the sweep driver's, extended): per-job mutation
 // streams are Rng::fork(job index) substreams of the campaign seed, job
@@ -20,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "campaign/mutation.hpp"
 #include "crypto/key_set.hpp"
 #include "driver/pool.hpp"
+#include "pipeline/pipeline.hpp"
 #include "verify/verify.hpp"
 
 namespace sofia::campaign {
@@ -70,6 +74,69 @@ CampaignSpec default_campaign();
 /// Shrink to a seconds-long run: one cell per registered scheme (paper
 /// cipher, per-pair granularity); jobs_per_cell is left to the caller.
 CampaignSpec smoke(CampaignSpec spec);
+
+// ---- the trial primitive ---------------------------------------------------
+
+/// Cycle budget of every attack session: tampered runs can loop on garbage.
+inline constexpr std::uint64_t kTrialBudget = 10'000'000;
+
+/// One victim prepared for attack: hardened once, with the donor build
+/// cross-version splices graft from, its clean-run baseline and its
+/// generation geometry. run() is the one trial primitive the campaign's
+/// classifier, minimizer and replay share with every one-shot attack, demo
+/// and fault trial. The const members are safe to call concurrently.
+class Target {
+ public:
+  /// A campaign cell's victim: the spec's workload (or the built-in victim)
+  /// under the cell's scheme, cipher and granularity, keys drawn from the
+  /// campaign seed, the spec's backend and donor omega.
+  static Target for_cell(const CampaignSpec& spec, const CellSpec& cell);
+
+  /// An SR32 source under `profile`; the donor is the same source sealed
+  /// under the version nonce `donor_omega`.
+  static Target from_source(std::string source, pipeline::DeviceProfile profile,
+                            std::uint16_t donor_omega);
+
+  /// Apply `record` to fresh copies of the hardened image and the session
+  /// configuration, then execute. Out-of-range mutations throw.
+  sim::RunResult run(const MutationRecord& record) const;
+
+  /// The same on the session's vanilla baseline image (no donor: a
+  /// cross-version splice throws). Links the baseline on first use.
+  sim::RunResult run_vanilla(const MutationRecord& record);
+
+  /// Error rules verify::lint fires on the tampered image.
+  std::vector<verify::Rule> lint(const MutationRecord& record) const;
+
+  const sim::RunResult& clean_run() const { return clean_; }
+  const assembler::LoadImage& image() const { return image_; }
+  const assembler::LoadImage& donor() const { return donor_; }
+  const ImageGeometry& geometry() const { return geometry_; }
+  /// The session the victim was hardened in (program, layout, vanilla
+  /// baseline, effective device configuration).
+  pipeline::Pipeline& session() { return *session_; }
+  const pipeline::Pipeline& session() const { return *session_; }
+
+ private:
+  /// Builds the victim (role "victim") or donor (role "donor") session.
+  using SessionFactory = std::function<std::unique_ptr<pipeline::Pipeline>(
+      const pipeline::DeviceProfile&, const std::string& role)>;
+
+  Target(const SessionFactory& make, const pipeline::DeviceProfile& profile,
+         std::uint16_t donor_omega, const std::string& label);
+
+  /// Built per call (never stored): a stored donor pointer would dangle
+  /// the moment the target moves.
+  ApplyContext ctx() const { return {geometry_.words_per_block, &donor_}; }
+
+  std::unique_ptr<pipeline::Pipeline> session_;
+  assembler::LoadImage image_;
+  sim::RunResult clean_;
+  verify::ProgramModel model_;
+  verify::DeviceSpec device_spec_;
+  assembler::LoadImage donor_;
+  ImageGeometry geometry_;
+};
 
 // ---- trial classification --------------------------------------------------
 
@@ -156,8 +223,7 @@ struct CampaignResult {
 using CellProgressFn = std::function<void(const CellResult&)>;
 
 /// Execute the campaign's (sharded) job list on `threads` workers. Builds
-/// one fixture per referenced cell (victim transformed once, donor build
-/// for cross-version splices, clean-run baseline), runs every trial, and
+/// one Target per referenced cell, runs every trial, and
 /// folds results in job-index order. Throws sofia::Error for unusable
 /// specs (no cells, zero jobs, unknown scheme/backend/workload, a victim
 /// whose clean run fails); per-trial outcomes are data, never errors.

@@ -1,9 +1,11 @@
-// Composable, replayable image mutations — the campaign engine's attack
-// vocabulary. Each Mutation is one primitive tamper (the AttackHarness
-// one-shot attacks, generalized into data): a record is an ordered list of
-// mutations applied to a fresh copy of the hardened image (and, for the
-// fault-schedule kind, to the SimConfig), so any trial — including a
-// minimized counterexample pulled out of a campaign JSON — replays exactly.
+// Composable, replayable image mutations — the one attack vocabulary of
+// the campaign engine, the one-shot attacks, the ROP/JOP demos and the
+// fetch-fault trials. Each Mutation is one primitive tamper: a record is an
+// ordered list of mutations applied to a fresh copy of the hardened image
+// (and, for the fault-schedule kind, to the SimConfig) by campaign::Target,
+// so any trial — including a minimized counterexample pulled out of a
+// campaign JSON — replays exactly, and one mutation has one name
+// (Mutation::describe()) everywhere.
 //
 // Generation is pure: generate_record(rng, geometry) draws only from the
 // passed Rng, so a per-job substream (Rng::fork of the campaign seed by job
@@ -100,7 +102,7 @@ Mutation generate(Rng& rng, const ImageGeometry& geometry);
 /// single fault slot); a second draw degrades to a bit flip.
 MutationRecord generate_record(Rng& rng, const ImageGeometry& geometry);
 
-/// Fixture-owned donor material for the cross-version kind.
+/// Target-owned donor material for the cross-version kind.
 struct ApplyContext {
   std::uint32_t words_per_block = 8;
   /// The same program sealed under a different version nonce omega;

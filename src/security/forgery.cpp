@@ -1,11 +1,8 @@
 #include "security/forgery.hpp"
 
 #include <cmath>
-#include <vector>
 
 #include "crypto/cbc_mac.hpp"
-#include "pipeline/pipeline.hpp"
-#include "sim/machine.hpp"
 
 namespace sofia::security {
 
@@ -63,46 +60,6 @@ DetectionExperiment run_detection_experiment(const crypto::KeySet& keys,
   result.detection_rate =
       1.0 - static_cast<double>(result.undetected) / static_cast<double>(trials);
   return result;
-}
-
-FaultCampaign run_fault_campaign(const std::string& source,
-                                 const crypto::KeySet& keys, bool sofia,
-                                 std::uint64_t trials, Rng& rng) {
-  // One session covers both targets: the hardened image for the SOFIA
-  // campaign, the sequential baseline for the vanilla one (paper §III
-  // per-pair CTR, as in every measurement).
-  auto session = pipeline::Pipeline::from_source(
-      source, pipeline::DeviceProfile::with_keys(keys), "fault-campaign");
-  sim::SimConfig config;
-  config.max_cycles = 20'000'000;
-  session.set_sim_config(config);
-  const assembler::LoadImage& image =
-      sofia ? session.image() : session.vanilla_image();
-  const sim::RunResult& clean = sofia ? session.run() : session.run_vanilla();
-  const std::uint64_t clean_fetches = clean.stats.fetch_words;
-
-  FaultCampaign campaign;
-  campaign.trials = trials;
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    sim::SimConfig faulty = config;
-    faulty.fault.enabled = true;
-    // SOFIA fetches MAC words too; scale the index range by the raw fetch
-    // volume so faults land uniformly over everything the device reads.
-    const std::uint64_t span =
-        sofia ? clean_fetches + clean.stats.mac_words : clean_fetches;
-    faulty.fault.fetch_index = rng.next_below(std::max<std::uint64_t>(1, span));
-    faulty.fault.bit = static_cast<unsigned>(rng.next_below(32));
-    const auto run = session.run_image(image, faulty);
-    if (run.status == sim::RunResult::Status::kReset)
-      ++campaign.detected;
-    else if (run.ok() && run.output == clean.output)
-      ++campaign.masked;
-    else if (run.ok())
-      ++campaign.corrupted;
-    else
-      ++campaign.other;
-  }
-  return campaign;
 }
 
 }  // namespace sofia::security

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "crypto/key_set.hpp"
 #include "support/rng.hpp"
@@ -52,21 +51,5 @@ struct DetectionExperiment {
 DetectionExperiment run_detection_experiment(const crypto::KeySet& keys,
                                              unsigned tag_bits,
                                              std::uint64_t trials, Rng& rng);
-
-struct FaultCampaign {
-  std::uint64_t trials = 0;
-  std::uint64_t detected = 0;       ///< device reset
-  std::uint64_t masked = 0;         ///< run completed with clean output
-  std::uint64_t corrupted = 0;      ///< run completed with wrong output
-  std::uint64_t other = 0;          ///< faults/max-cycles
-};
-
-/// Transient-fault campaign (paper future work): inject one random
-/// instruction-fetch bit flip per run and classify the outcome. On the
-/// SOFIA core every non-masked fault must be detected; on the vanilla core
-/// faults silently corrupt.
-FaultCampaign run_fault_campaign(const std::string& source,
-                                 const crypto::KeySet& keys, bool sofia,
-                                 std::uint64_t trials, Rng& rng);
 
 }  // namespace sofia::security

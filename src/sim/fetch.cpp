@@ -123,14 +123,14 @@ void SofiaFetch::redirect(std::uint32_t target, std::uint32_t from_pc,
   // CipherEngine::flush).
   engine_.flush(cycle);
   if (indirect) {
-    // Under a gating scheme the source block's exit was opened with a
-    // gate flag and exit label; the transfer then presents the canonical
-    // indirect sentinel and must pass the target-set check. Under any
+    // Under a gating scheme the source block's exit label was stored when
+    // it was opened; the transfer then presents the canonical indirect
+    // sentinel and must pass the target-set check. Under any
     // other scheme the dynamic prevPC simply garbles the target block
     // (an indirect jump the toolchain did not devirtualize).
-    const auto it = exit_info_.find(from_pc / 4);
-    if (it != exit_info_.end() && it->second.gated) {
-      pending_entry_check_ = it->second.exit_label;
+    const auto it = exit_labels_.find(from_pc / 4);
+    if (it != exit_labels_.end()) {
+      pending_entry_check_ = it->second;
       process_block(target / 4, assembler::kIndirectPrevWord, cycle);
       return;
     }
@@ -257,7 +257,7 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
                         base_word * 4};
     return;
   }
-  exit_info_[base_word + b - 1] = ExitInfo{dev.gate_indirect, dev.exit_label};
+  if (dev.gate_indirect) exit_labels_[base_word + b - 1] = dev.exit_label;
   // An unauthenticated scheme never gates stores (there is no
   // verification to wait for).
   const std::uint64_t gate =

@@ -202,13 +202,10 @@ class SofiaFetch final : public FetchUnit {
   std::uint64_t cont_cycle_ = 0;       ///< earliest continuation cycle
   std::optional<ResetEvent> reset_;
 
-  /// Forward-edge gate state (gating schemes only): what the scheme said
-  /// about each opened block's exit, keyed by its exit word address.
-  struct ExitInfo {
-    bool gated = false;
-    std::uint8_t exit_label = 0;
-  };
-  std::unordered_map<std::uint32_t, ExitInfo> exit_info_;
+  /// Forward-edge gate state: the exit label of each block a gating scheme
+  /// opened, keyed by its exit word address. Non-gating schemes store
+  /// nothing, so a missing entry means "not gated".
+  std::unordered_map<std::uint32_t, std::uint8_t> exit_labels_;
   /// Set by an indirect redirect: the source exit label the next opened
   /// block's entry label must equal (consumed by process_block).
   std::optional<std::uint8_t> pending_entry_check_;

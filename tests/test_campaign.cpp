@@ -429,18 +429,18 @@ TEST(Campaign, RetargetedIndirectTransfersAreDetectedByFlta) {
   auto profile =
       pipeline::DeviceProfile::from_seed(crypto::CipherKind::kRectangle80, 17);
   profile.scheme = pipeline::DeviceProfile::parse_scheme("flta");
-  auto session =
-      pipeline::Pipeline::from_source(kRetargetVictim, profile, "retarget");
-  const auto& clean = session.run();
+  auto target = campaign::Target::from_source(kRetargetVictim, profile,
+                                              campaign::CampaignSpec{}.donor_omega);
+  const auto& clean = target.clean_run();
   ASSERT_TRUE(clean.ok());
 
-  const auto model = verify::model_of(session.hardened());
+  const auto model = verify::model_of(target.session().hardened());
   std::vector<std::vector<std::uint32_t>> sets;  // declared, in block order
   for (const auto& blk : model.blocks)
     if (!blk.jalr_targets.empty()) sets.push_back(blk.jalr_targets);
   ASSERT_EQ(sets.size(), 2u);
 
-  const auto& image = session.hardened().image;
+  const auto& image = target.image();
   const auto slot_of = [&](std::uint32_t target) -> std::uint32_t {
     for (std::uint32_t off = 0; off + 4 <= image.data.size(); off += 4) {
       std::uint32_t v = 0;
@@ -452,11 +452,7 @@ TEST(Campaign, RetargetedIndirectTransfersAreDetectedByFlta) {
     return 0;
   };
   const auto retarget = [&](std::uint32_t slot, std::uint32_t addr) {
-    auto img = image;
-    sim::SimConfig config = session.sim_config();
-    campaign::apply(Mutation{MutationKind::kRetargetIndirect, slot, addr},
-                    img, config, campaign::ApplyContext{});
-    return session.run_image(img, config);
+    return target.run({{MutationKind::kRetargetIndirect, slot, addr}});
   };
 
   // Cross-class: redirect the first dispatch into the second set. The MAC
@@ -527,6 +523,43 @@ TEST(CampaignJson, SmokeDocumentIsPinned) {
       campaign::run_campaign(campaign::smoke(campaign::default_campaign()), 4));
   EXPECT_EQ(support::sha256_hex(doc),
             "d1fc615f580d5fe63948a7d6476d1ace6677a1e3650b80548698da1ccd280546");
+}
+
+TEST(CampaignJson, EscapesReplayFromTheDocument) {
+  // The document promises replayable counterexamples: each escape's
+  // records, parsed back out of the rendered JSON and run through the
+  // cell's Target, must escape again. The recorded status is the full
+  // record's; the minimized subset may escape another way (a halt with
+  // wrong output where the full record faulted), so the status is compared
+  // for the full record only.
+  auto spec = smoke_spec(120);
+  std::erase_if(spec.cells, [](const campaign::CellSpec& c) {
+    return c.scheme != "null";
+  });
+  ASSERT_EQ(spec.cells.size(), 1u);
+  const json::Value doc =
+      json::parse(campaign::to_json(campaign::run_campaign(spec, 4)));
+  const auto target = campaign::Target::for_cell(spec, spec.cells[0]);
+  const auto& escapes =
+      doc.array_at("cells", "document")[0].array_at("escapes", "cell");
+  ASSERT_FALSE(escapes.empty()) << "the encrypt-only baseline must leak";
+  const auto record = [](const json::Value& e, std::string_view key) {
+    MutationRecord r;
+    for (const auto& m : e.array_at(key, "escape"))
+      r.push_back(campaign::mutation_from_json(m));
+    return r;
+  };
+  for (const auto& e : escapes) {
+    const auto job = e.uint_at("job", "escape");
+    const auto applied = target.run(record(e, "mutations"));
+    EXPECT_EQ(campaign::classify(applied, target.clean_run().output),
+              TrialClass::kEscaped) << "job " << job;
+    EXPECT_EQ(sim::to_string(applied.status), e.string_at("status", "escape"))
+        << "job " << job;
+    const auto minimized = target.run(record(e, "minimized"));
+    EXPECT_EQ(campaign::classify(minimized, target.clean_run().output),
+              TrialClass::kEscaped) << "job " << job;
+  }
 }
 
 TEST(CampaignJson, MergeRejectsBadInputs) {

@@ -6,12 +6,15 @@
 
 #include <cmath>
 
-#include "security/attacks.hpp"
+#include "campaign/campaign.hpp"
+#include "security/demos.hpp"
 #include "security/forgery.hpp"
 #include "sim_test_util.hpp"
 
 namespace sofia::security {
 namespace {
+
+using campaign::MutationKind;
 
 const char* kVictim = R"(
 main:
@@ -38,26 +41,38 @@ out: .word 0
 
 class Attacks : public ::testing::Test {
  protected:
-  static const AttackHarness& harness() {
-    static const AttackHarness h(kVictim, test::test_keys());
-    return h;
+  /// Per-word CTR, the toolchain's historical default for this victim.
+  static const campaign::Target& target() {
+    static const campaign::Target t = [] {
+      auto profile = pipeline::DeviceProfile::with_keys(test::test_keys());
+      profile.granularity = crypto::Granularity::kPerWord;
+      return campaign::Target::from_source(kVictim, profile, 0x1111);
+    }();
+    return t;
+  }
+
+  static bool detected(const sim::RunResult& run) {
+    return run.status == sim::RunResult::Status::kReset;
+  }
+
+  static sim::RunResult flip_bit(std::uint32_t word, unsigned bit) {
+    return target().run({{MutationKind::kBitFlip, word, bit}});
   }
 };
 
 TEST_F(Attacks, CleanRunSucceeds) {
-  EXPECT_TRUE(harness().clean_run().ok());
-  EXPECT_EQ(harness().clean_run().output, "32\n");
+  EXPECT_TRUE(target().clean_run().ok());
+  EXPECT_EQ(target().clean_run().output, "32\n");
 }
 
 TEST_F(Attacks, SingleBitFlipDetected) {
-  const auto outcome = harness().flip_bit(2, 5);  // first instruction word
-  EXPECT_TRUE(outcome.detected) << to_string(outcome.run.status);
-  EXPECT_EQ(outcome.run.reset.cause, sim::ResetCause::kMacMismatch);
+  const auto run = flip_bit(2, 5);  // first instruction word
+  EXPECT_TRUE(detected(run)) << to_string(run.status);
+  EXPECT_EQ(run.reset.cause, sim::ResetCause::kMacMismatch);
 }
 
 TEST_F(Attacks, MacWordFlipDetected) {
-  const auto outcome = harness().flip_bit(0, 17);  // stored MAC word
-  EXPECT_TRUE(outcome.detected);
+  EXPECT_TRUE(detected(flip_bit(0, 17)));  // stored MAC word
 }
 
 TEST_F(Attacks, PatchWordDetected) {
@@ -65,47 +80,50 @@ TEST_F(Attacks, PatchWordDetected) {
   // executes: the decrypting fetch turns it into garbage and the MAC fails.
   const std::uint32_t injected = isa::encode(
       isa::Instruction{isa::Opcode::kAddi, 1, 1, 0, 100});
-  const auto outcome = harness().patch_word(3, injected);
-  EXPECT_TRUE(outcome.detected);
+  EXPECT_TRUE(
+      detected(target().run({{MutationKind::kWordPatch, 3, injected}})));
 }
 
 TEST_F(Attacks, RelocateWordDetected) {
   // Moving valid ciphertext elsewhere breaks the PC-bound counter — the
   // attack that defeats AES-ECB instruction randomization (paper §I).
-  const auto outcome = harness().relocate_word(4, 12);
-  EXPECT_TRUE(outcome.detected);
+  EXPECT_TRUE(detected(target().run({{MutationKind::kWordRelocate, 4, 12}})));
 }
 
 TEST_F(Attacks, BlockSpliceDetected) {
-  const auto& image = harness().transformed().image;
-  ASSERT_GE(image.text.size() / 8, 3u);
-  const auto outcome = harness().splice_block(0, 2);
-  EXPECT_TRUE(outcome.detected);
+  ASSERT_GE(target().image().text.size() / 8, 3u);
+  EXPECT_TRUE(detected(target().run({{MutationKind::kBlockSplice, 0, 2}})));
 }
 
 TEST_F(Attacks, CrossVersionSpliceDetected) {
-  const auto outcome = harness().cross_version_splice(0x1111, 1);
-  EXPECT_TRUE(outcome.detected);
+  // Block 1 of the same program built under omega 0x1111 (the donor).
+  EXPECT_TRUE(
+      detected(target().run({{MutationKind::kCrossVersionSplice, 1}})));
 }
 
 TEST_F(Attacks, HundredRandomBitFlipsAllDetectedOrHarmless) {
   Rng rng(2024);
-  const auto outcomes = harness().random_bit_flips(rng, 100);
-  int detected = 0;
+  const std::string& clean = target().clean_run().output;
+  int detected_count = 0;
   int harmless = 0;
-  for (const auto& o : outcomes) {
-    if (o.detected) {
-      ++detected;
-    } else if (o.output_clean) {
+  for (int i = 0; i < 100; ++i) {
+    const auto word =
+        static_cast<std::uint32_t>(rng.next_below(target().image().text.size()));
+    const campaign::Mutation flip{MutationKind::kBitFlip, word,
+                                  rng.next_below(32)};
+    const auto run = target().run({flip});
+    if (detected(run)) {
+      ++detected_count;
+    } else if (run.output == clean) {
       // Flip landed in a block the run never fetched.
       ++harmless;
     } else {
-      ADD_FAILURE() << o.name << ": undetected corruption, status "
-                    << to_string(o.run.status);
+      ADD_FAILURE() << flip.describe() << ": undetected corruption, status "
+                    << to_string(run.status);
     }
   }
-  EXPECT_EQ(detected + harmless, 100);
-  EXPECT_GT(detected, 50);  // most of the text is live in this program
+  EXPECT_EQ(detected_count + harmless, 100);
+  EXPECT_GT(detected_count, 50);  // most of the text is live in this program
 }
 
 TEST_F(Attacks, DetectionIsPromptNoTamperedStoreCommits) {
@@ -115,13 +133,14 @@ TEST_F(Attacks, DetectionIsPromptNoTamperedStoreCommits) {
   Rng rng(7);
   for (int i = 0; i < 50; ++i) {
     const auto word = static_cast<std::uint32_t>(
-        rng.next_below(harness().transformed().image.text.size()));
-    const auto outcome = harness().flip_bit(word, static_cast<unsigned>(
-                                                      rng.next_below(32)));
-    if (!outcome.detected) continue;
-    EXPECT_TRUE(outcome.run.output.empty() ||
-                outcome.run.output == harness().clean_run().output)
-        << outcome.name << " leaked output: " << outcome.run.output;
+        rng.next_below(target().image().text.size()));
+    const campaign::Mutation flip{MutationKind::kBitFlip, word,
+                                  rng.next_below(32)};
+    const auto run = target().run({flip});
+    if (!detected(run)) continue;
+    EXPECT_TRUE(run.output.empty() ||
+                run.output == target().clean_run().output)
+        << flip.describe() << " leaked output: " << run.output;
   }
 }
 
